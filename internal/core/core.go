@@ -17,6 +17,11 @@
 //
 // Policies are notified of every reference (hit or miss) so on-line
 // techniques can maintain reference histories for non-resident clips.
+//
+// There is one engine and one request path. Residency is tracked per
+// fixed-size segment and every request is a byte range (segment.go);
+// without WithSegments each clip is a single segment, which is exactly the
+// paper's whole-clip model, and Request(id) is RequestRange(id, 0, -1).
 package core
 
 import (
@@ -235,43 +240,45 @@ type Cache struct {
 	observer Observer
 	// mirror, when set via WithResidencyMirror, receives every residency
 	// transition so lock-free readers can consult a published view of the
-	// resident set. Nil-checked at every transition.
+	// resident set. Publishing to a nil mirror is a no-op.
 	mirror *ResidencyMirror
 	// initClock is the virtual time the cache starts (and Resets) at.
 	initClock vtime.Time
 
-	resident map[media.ClipID]struct{}
-	// byID is the incrementally maintained resident index: the same set as
-	// resident, ordered by ascending clip ID. It replaces the per-call
-	// allocate-and-sort that ResidentClips used to perform, giving policies
-	// an allocation-free iteration seam (ForEachResident) and O(log n)
-	// insert/evict maintenance instead of O(n log n) per Victims call.
+	// entries holds one record per repository clip, indexed by id-1 (clip
+	// IDs are dense): its segment bitmap, resident byte total and expiry
+	// deadline. A clip is resident while it has at least one resident
+	// segment; the request path reaches a record without hashing.
+	entries []entry
+	// byID is the resident set ordered by ascending clip ID, maintained
+	// incrementally: policies iterate it allocation-free (ForEachResident)
+	// with O(log n) insert/evict upkeep instead of an O(n log n) sort per
+	// Victims call.
 	byID *rbtree.Tree[media.ClipID, media.Clip]
-	// victimScratch is the reusable duplicate-detection set makeRoom uses to
-	// validate a victim batch before mutating residency.
+	// victimScratch is the reusable duplicate-detection set makeRoomSegment
+	// uses to validate a victim batch before mutating residency.
 	victimScratch map[media.ClipID]struct{}
 	used          media.Bytes
 	clock         vtime.Time
 	stats         Stats
 
-	// Segment-granular residency (WithSegments). segSize == 0 means legacy
-	// whole-clip residency; none of these fields are touched on that request
-	// path, which stays allocation-free and byte-identical to earlier PRs.
-	segSize      media.Bytes               // fixed segment size, 0 = whole-clip
-	prefixSegs   int                       // WithPrefixAdmission: first N segments always admitted, evicted last
-	segFetch     SegmentFetchFunc          // WithSegmentFetch: per-segment fetch seam
-	segAware     SegmentAware              // policy's optional resident-byte notification hook
-	segs         map[media.ClipID]*segMeta // per-clip residency bitmaps, keyed by resident clip
-	residentSegs int                       // total resident segments across all clips
-	segScratch   []int32                   // reusable missing-segment buffer for the request path
+	// Segment geometry. segSize is the WithSegments granularity and what the
+	// cache reports; zero means unsegmented, which the engine runs as one
+	// segment spanning each clip: span, the size every segment computation
+	// uses, is then the repository's largest clip.
+	segSize      media.Bytes
+	span         media.Bytes
+	prefixSegs   int              // WithPrefixAdmission: first N segments always admitted, evicted last
+	segFetch     SegmentFetchFunc // WithSegmentFetch: per-segment fetch seam
+	segAware     SegmentAware     // policy's optional resident-byte hook; nil on unsegmented caches
+	residentSegs int              // total resident segments across all clips
+	segScratch   []int32          // reusable missing-segment buffer for the request path
 
-	// TTL expiry (WithTTL). ttl == 0 means no expiry: none of these fields
-	// are touched on that request path, which stays byte-identical to
-	// earlier PRs. Deadlines are absolute virtual times, one per resident
-	// clip; expiry is lazy (checked on the requested clip) plus an
-	// amortized sweep every sweepEvery ticks.
+	// TTL expiry (WithTTL). ttl == 0 means no expiry and every entry's
+	// deadline stays zero. Deadlines are absolute virtual times; expiry is
+	// lazy (checked on the requested clip) plus an amortized sweep every
+	// sweepEvery ticks.
 	ttl           vtime.Duration
-	deadlines     map[media.ClipID]vtime.Time
 	lastSweep     vtime.Time
 	sweepEvery    vtime.Time
 	expireScratch []media.ClipID // reusable expired-id buffer for the sweep
@@ -370,7 +377,6 @@ func New(repo *media.Repository, capacity media.Bytes, policy Policy, opts ...Op
 		repo:     repo,
 		capacity: capacity,
 		policy:   policy,
-		resident: make(map[media.ClipID]struct{}),
 		byID:     rbtree.New[media.ClipID, media.Clip](lessClipID),
 	}
 	for _, opt := range opts {
@@ -378,18 +384,28 @@ func New(repo *media.Repository, capacity media.Bytes, policy Policy, opts ...Op
 			return nil, err
 		}
 	}
-	if c.prefixSegs > 0 && c.segSize == 0 {
-		return nil, errors.New("core: WithPrefixAdmission requires WithSegments")
-	}
-	if c.segFetch != nil && c.segSize == 0 {
-		return nil, errors.New("core: WithSegmentFetch requires WithSegments")
-	}
-	if c.segSize > 0 {
-		c.segs = make(map[media.ClipID]*segMeta)
+	if c.segSize == 0 {
+		if c.prefixSegs > 0 {
+			return nil, errors.New("core: WithPrefixAdmission requires WithSegments")
+		}
+		if c.segFetch != nil {
+			return nil, errors.New("core: WithSegmentFetch requires WithSegments")
+		}
+	} else {
+		// Only segmented caches re-rank on resident-byte changes; a clip of
+		// one segment is either wholly resident or absent.
 		c.segAware, _ = policy.(SegmentAware)
 	}
+	c.span = spanFor(repo, c.segSize)
+	c.entries = make([]entry, repo.N())
+	for i := range c.entries {
+		e := &c.entries[i]
+		e.nSegs = segmentsOf(repo.Clip(media.ClipID(i+1)).Size, c.span)
+		if e.nSegs > 64 {
+			e.more = make([]uint64, (e.nSegs-64+63)/64)
+		}
+	}
 	if c.ttl > 0 {
-		c.deadlines = make(map[media.ClipID]vtime.Time)
 		// Sweep cadence is a pure function of the TTL so the event stream is
 		// deterministic: often enough that expired clips do not linger past
 		// a quarter TTL, capped so huge TTLs still sweep regularly.
@@ -397,7 +413,7 @@ func New(repo *media.Repository, capacity media.Bytes, policy Policy, opts ...Op
 		c.lastSweep = c.initClock
 	}
 	c.clock = c.initClock
-	c.mirrorClock(c.clock)
+	c.mirror.setClock(c.clock)
 	if b, ok := policy.(Binder); ok {
 		b.Bind(c)
 	}
@@ -426,30 +442,17 @@ func (c *Cache) UsedBytes() media.Bytes { return c.used }
 func (c *Cache) FreeBytes() media.Bytes { return c.capacity - c.used }
 
 // NumResident returns the number of cached clips.
-func (c *Cache) NumResident() int { return len(c.resident) }
+func (c *Cache) NumResident() int { return c.byID.Len() }
 
 // Resident reports whether clip id is cached. Under segment-granular
 // residency a clip with any resident segment counts as resident; use
 // FullyResident or ResidentBytes for finer answers.
-func (c *Cache) Resident(id media.ClipID) bool {
-	_, ok := c.resident[id]
-	return ok
-}
+func (c *Cache) Resident(id media.ClipID) bool { return c.at(id).resident > 0 }
 
-// ResidentBytes implements ResidentView: the number of clip id's bytes that
-// are cached. Whole-clip residency answers clip-size-or-zero; segmented
-// residency answers the byte total of the clip's resident segments.
+// ResidentBytes implements ResidentView: the byte total of clip id's
+// resident segments — the whole clip size or zero on unsegmented caches.
 func (c *Cache) ResidentBytes(id media.ClipID) media.Bytes {
-	if c.segSize > 0 {
-		if sm := c.segs[id]; sm != nil {
-			return sm.resBytes
-		}
-		return 0
-	}
-	if clip, ok := c.byID.Get(id); ok {
-		return clip.Size
-	}
-	return 0
+	return c.at(id).resBytes
 }
 
 // CollectResidents copies view's resident set into a fresh slice in
@@ -499,97 +502,17 @@ var _ ResidentView = (*Cache)(nil)
 
 // Request services a reference to clip id, advancing the virtual clock by
 // one tick, and returns the outcome. Request is the paper's unit of work: the
-// client references a clip, the cache manager services it.
+// client references a clip, the cache manager services it. It is the
+// whole-clip form of RequestRange.
 func (c *Cache) Request(id media.ClipID) (Outcome, error) {
-	if c.segSize > 0 {
-		res, err := c.RequestRange(id, 0, -1)
-		return res.Outcome, err
-	}
-	clip, ok := c.repo.Lookup(id)
-	if !ok {
-		return MissBypassed, fmt.Errorf("%w: id %d", ErrUnknownClip, id)
-	}
-	c.clock++
-	now := c.clock
-	c.mirrorClock(now)
-	if c.ttl > 0 {
-		// Amortized sweep first, then the lazy check on the requested clip:
-		// the sweep may already have expired it, and the order must be fixed
-		// so the event stream is deterministic. An expired requested clip
-		// falls through as an ordinary miss.
-		c.maybeSweep(now)
-		c.expireIfDue(id, now)
-	}
-
-	_, hit := c.resident[id]
-	c.policy.Record(clip, now, hit)
-
-	c.stats.Requests++
-	c.stats.BytesReferenced += clip.Size
-	if hit {
-		c.stats.Hits++
-		c.stats.BytesHit += clip.Size
-		c.emit(EventHit, clip, now)
-		return Hit, nil
-	}
-
-	// Fetched bytes are network traffic for clips actually delivered: a
-	// bypassed or too-large miss still streams the clip to the client, but a
-	// failed fetch delivers nothing and must not count (it accrues to
-	// BytesFailed instead). The invariant is
-	// BytesHit + BytesFetched + BytesFailed == BytesReferenced.
-	if clip.Size > c.capacity {
-		c.stats.BytesFetched += clip.Size
-		c.stats.Bypassed++
-		c.emit(EventBypass, clip, now)
-		return MissTooLarge, nil
-	}
-	if c.admit != nil && !c.admit(clip, now) {
-		c.stats.BytesFetched += clip.Size
-		c.stats.Bypassed++
-		c.emit(EventBypass, clip, now)
-		return MissBypassed, nil
-	}
-	if !c.policy.Admit(clip, now) {
-		c.stats.BytesFetched += clip.Size
-		c.stats.Bypassed++
-		c.emit(EventBypass, clip, now)
-		return MissBypassed, nil
-	}
-	if c.fetch != nil {
-		if err := c.fetch(clip, now); err != nil {
-			c.stats.FetchFailed++
-			c.stats.BytesFailed += clip.Size
-			c.emit(EventFetchFail, clip, now)
-			return MissDegraded, nil
-		}
-	}
-	c.stats.BytesFetched += clip.Size
-	if err := c.makeRoom(clip, now); err != nil {
-		// makeRoom validates each victim batch before touching residency,
-		// so the resident set is exactly as it was before this request
-		// (minus any earlier, fully valid batches). The clip was fetched but
-		// cannot be materialized; account it as a bypassed miss so
-		// Requests == Hits + MissCached + Bypassed + FetchFailed holds even
-		// when a policy misbehaves.
-		c.stats.Bypassed++
-		c.emit(EventBypass, clip, now)
-		return MissError, err
-	}
-	c.resident[id] = struct{}{}
-	c.byID.Put(id, clip)
-	c.used += clip.Size
-	c.setDeadline(id, now)
-	c.mirrorAdd(id)
-	c.policy.OnInsert(clip, now)
-	c.emit(EventMiss, clip, now)
-	return MissCached, nil
+	res, err := c.RequestRange(id, 0, -1)
+	return res.Outcome, err
 }
 
 // ApplyHit services a reference to clip id that a concurrent reader already
 // classified as a hit against the cache's published residency view
 // (WithResidencyMirror): clock tick, policy Record, hit statistics and the
-// EventHit emission — the exact hit branch of Request. It exists so a
+// EventHit emission — the hit branch of Request. It exists so a
 // lock-reduced front-end can serve the bytes without the engine lock and
 // later drain a batch of such touches under one lock acquisition.
 //
@@ -599,8 +522,9 @@ func (c *Cache) Request(id media.ClipID) (Outcome, error) {
 // engine's current state: Record(hit) reflects residency at drain time, so
 // reference histories never diverge from the resident set. Driven serially
 // (drain before any intervening mutation) this is byte-identical to Request
-// on a hit. Only whole-clip caches support it; segmented caches account
-// partial residency per byte range and must use RequestRange.
+// on a hit. Only unsegmented caches support it: "resident" and "every byte
+// cached" coincide there, while segmented caches account partial residency
+// per byte range and must use RequestRange.
 func (c *Cache) ApplyHit(id media.ClipID) error {
 	if c.segSize > 0 {
 		return errors.New("core: ApplyHit requires whole-clip residency")
@@ -611,7 +535,7 @@ func (c *Cache) ApplyHit(id media.ClipID) error {
 	}
 	c.clock++
 	now := c.clock
-	c.mirrorClock(now)
+	c.mirror.setClock(now)
 	// Sweep only; no lazy check of id itself. The lock-free fast path that
 	// feeds ApplyHit verified the deadline against its tick estimate before
 	// classifying the hit, and ApplyHit's contract counts the hit
@@ -620,56 +544,13 @@ func (c *Cache) ApplyHit(id media.ClipID) error {
 		c.maybeSweep(now)
 	}
 
-	_, hit := c.resident[id]
-	c.policy.Record(clip, now, hit)
+	c.policy.Record(clip, now, c.Resident(id))
 
 	c.stats.Requests++
 	c.stats.BytesReferenced += clip.Size
 	c.stats.Hits++
 	c.stats.BytesHit += clip.Size
-	c.emit(EventHit, clip, now)
-	return nil
-}
-
-// makeRoom evicts policy-selected victims until clip fits. Each victim
-// batch is validated in full — every id resident, no duplicates — before
-// any eviction is applied, so a misbehaving policy can never leave a
-// partially evicted cache behind.
-func (c *Cache) makeRoom(clip media.Clip, now vtime.Time) error {
-	for c.capacity-c.used < clip.Size {
-		need := clip.Size - (c.capacity - c.used)
-		c.stats.VictimCalls++
-		victims := c.policy.Victims(clip, c, need, now)
-		if len(victims) == 0 {
-			return fmt.Errorf("%w: need %v, free %v", ErrPolicyNoVictim, need, c.FreeBytes())
-		}
-		if c.victimScratch == nil {
-			c.victimScratch = make(map[media.ClipID]struct{}, len(victims))
-		} else {
-			clear(c.victimScratch)
-		}
-		for _, vid := range victims {
-			if _, dup := c.victimScratch[vid]; dup {
-				return fmt.Errorf("%w: duplicate id %d", ErrBadVictim, vid)
-			}
-			c.victimScratch[vid] = struct{}{}
-			if _, ok := c.resident[vid]; !ok {
-				return fmt.Errorf("%w: id %d", ErrBadVictim, vid)
-			}
-		}
-		for _, vid := range victims {
-			victim := c.repo.Clip(vid)
-			delete(c.resident, vid)
-			c.byID.Delete(vid)
-			c.mirrorRemove(vid)
-			c.clearDeadline(vid)
-			c.used -= victim.Size
-			c.stats.Evictions++
-			c.stats.BytesEvicted += victim.Size
-			c.policy.OnEvict(vid, now)
-			c.emit(EventEviction, victim, now)
-		}
-	}
+	c.emit(EventHit, clip, clip.Size, now)
 	return nil
 }
 
@@ -682,56 +563,43 @@ func (c *Cache) Warm(ids []media.ClipID) {
 		if !ok || c.Resident(id) || clip.Size > c.FreeBytes() {
 			continue
 		}
-		c.resident[id] = struct{}{}
-		c.byID.Put(id, clip)
-		c.setDeadline(id, c.clock)
-		c.mirrorAdd(id)
-		c.used += clip.Size
-		c.policy.OnInsert(clip, c.clock)
-		if c.segSize > 0 {
-			c.adoptFullClip(clip)
-		}
+		c.adopt(clip, nil, c.deadlineFrom(c.clock))
 	}
+}
+
+// clearResidency empties the resident set and its published mirror: the
+// common first step of Reset and Restore.
+func (c *Cache) clearResidency() {
+	for i := range c.entries {
+		c.entries[i].reset()
+	}
+	c.byID = rbtree.New[media.ClipID, media.Clip](lessClipID)
+	c.mirror.clear()
+	c.used = 0
+	c.residentSegs = 0
 }
 
 // Reset clears residency, statistics and the policy state, and rewinds the
 // clock to its initial value (zero unless WithClock set one).
 func (c *Cache) Reset() {
-	c.resident = make(map[media.ClipID]struct{})
-	c.byID = rbtree.New[media.ClipID, media.Clip](lessClipID)
-	c.mirrorClear()
-	c.used = 0
+	c.clearResidency()
 	c.clock = c.initClock
-	c.mirrorClock(c.clock)
+	c.mirror.setClock(c.clock)
+	c.lastSweep = c.initClock
 	c.stats = Stats{}
-	if c.segSize > 0 {
-		c.segs = make(map[media.ClipID]*segMeta)
-		c.residentSegs = 0
-	}
-	if c.ttl > 0 {
-		c.deadlines = make(map[media.ClipID]vtime.Time)
-		c.lastSweep = c.initClock
-	}
 	c.policy.Reset()
 }
 
-// TheoreticalHitRate returns Σ f_id over resident clips for the supplied
-// per-identity probability vector (indexed by id-1). This is the metric of
-// Section 4.4.1: the probability the next request hits, given the true
-// request distribution.
+// TheoreticalHitRate returns Σ f_id over fully resident clips for the
+// supplied per-identity probability vector (indexed by id-1). This is the
+// metric of Section 4.4.1: the probability the next (whole-clip) request
+// hits, given the true request distribution.
 func (c *Cache) TheoreticalHitRate(pmf []float64) float64 {
-	// Sum in ascending clip-ID order: float addition is not associative,
-	// and iterating the resident map directly would make the result vary
-	// run to run with Go's randomized map order. The ordered index gives
-	// that order without allocating.
-	// Under segment-granular residency only fully resident clips count: the
-	// next (whole-clip) request hits only when every segment is cached.
+	// Sum in ascending clip-ID order: float addition is not associative, so
+	// the order is part of the result.
 	var sum float64
 	c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
-		if c.segSize > 0 && !c.FullyResident(id) {
-			return true
-		}
-		if i := int(id) - 1; i >= 0 && i < len(pmf) {
+		if i := int(id) - 1; i >= 0 && i < len(pmf) && c.FullyResident(id) {
 			sum += pmf[i]
 		}
 		return true

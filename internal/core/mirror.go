@@ -10,7 +10,7 @@ import (
 )
 
 // ResidencyMirror is a concurrently readable mirror of a cache's resident
-// clip set. The engine itself is single-threaded and its resident map must
+// clip set. The engine itself is single-threaded and its residency table must
 // never be read while another goroutine mutates it; a mirror gives callers
 // that hold no lock (the sharded pool's read-mostly hit path) a published
 // view they can consult without serializing on the engine.
@@ -62,17 +62,26 @@ func (m *ResidencyMirror) Clock() vtime.Time {
 	return vtime.Time(m.clock.Load())
 }
 
-// setClock publishes the engine's virtual clock.
+// setClock publishes the engine's virtual clock; called after every clock
+// change so lock-free readers can bound staleness. Like the other
+// publishing methods it is a no-op on a nil mirror, which is what a cache
+// built without WithResidencyMirror holds.
 func (m *ResidencyMirror) setClock(now vtime.Time) {
-	m.clock.Store(int64(now))
+	if m != nil {
+		m.clock.Store(int64(now))
+	}
 }
 
 // Len returns the number of clips in the published view.
 func (m *ResidencyMirror) Len() int { return int(m.n.Load()) }
 
-// add publishes clip id as resident with the given expiry deadline
-// (zero = never expires).
+// add publishes clip id as resident together with its expiry deadline
+// (zero = never expires), so lock-free readers see residency and expiry
+// atomically.
 func (m *ResidencyMirror) add(id media.ClipID, deadline vtime.Time) {
+	if m == nil {
+		return
+	}
 	if _, loaded := m.set.Swap(id, deadline); !loaded {
 		m.n.Add(1)
 	}
@@ -80,6 +89,9 @@ func (m *ResidencyMirror) add(id media.ClipID, deadline vtime.Time) {
 
 // remove publishes clip id as no longer resident.
 func (m *ResidencyMirror) remove(id media.ClipID) {
+	if m == nil {
+		return
+	}
 	if _, loaded := m.set.LoadAndDelete(id); loaded {
 		m.n.Add(-1)
 	}
@@ -87,6 +99,9 @@ func (m *ResidencyMirror) remove(id media.ClipID) {
 
 // clear empties the published view.
 func (m *ResidencyMirror) clear() {
+	if m == nil {
+		return
+	}
 	m.set.Range(func(k, _ any) bool {
 		m.set.Delete(k)
 		return true
@@ -104,40 +119,5 @@ func WithResidencyMirror(m *ResidencyMirror) Option {
 		}
 		c.mirror = m
 		return nil
-	}
-}
-
-// mirrorAdd publishes an insert to the attached mirror, if any, carrying
-// the clip's expiry deadline. Insert sites set the deadline before calling
-// this, so residency and expiry are published atomically.
-func (c *Cache) mirrorAdd(id media.ClipID) {
-	if c.mirror != nil {
-		var dl vtime.Time
-		if c.ttl > 0 {
-			dl = c.deadlines[id]
-		}
-		c.mirror.add(id, dl)
-	}
-}
-
-// mirrorRemove publishes an eviction to the attached mirror, if any.
-func (c *Cache) mirrorRemove(id media.ClipID) {
-	if c.mirror != nil {
-		c.mirror.remove(id)
-	}
-}
-
-// mirrorClear publishes a full reset to the attached mirror, if any.
-func (c *Cache) mirrorClear() {
-	if c.mirror != nil {
-		c.mirror.clear()
-	}
-}
-
-// mirrorClock publishes the engine clock to the attached mirror, if any.
-// Called after every clock change so lock-free readers can bound staleness.
-func (c *Cache) mirrorClock(now vtime.Time) {
-	if c.mirror != nil {
-		c.mirror.setClock(now)
 	}
 }

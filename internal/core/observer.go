@@ -135,17 +135,10 @@ func WithObserver(o Observer) Option {
 	}
 }
 
-// emit delivers a whole-clip event if an observer is installed. Kept tiny so
-// it inlines into Request and makeRoom; the nil branch is the hot path.
-func (c *Cache) emit(t EventType, clip media.Clip, now vtime.Time) {
-	if c.observer != nil {
-		c.observer.Observe(Event{Type: t, Clip: clip, Bytes: clip.Size, Now: now})
-	}
-}
-
-// emitB delivers an event covering an explicit byte count — the segmented
-// request path's form, where an event rarely spans the whole clip.
-func (c *Cache) emitB(t EventType, clip media.Clip, bytes media.Bytes, now vtime.Time) {
+// emit delivers an event covering bytes bytes of clip if an observer is
+// installed. Kept tiny so it inlines into the request path; the nil branch
+// is the hot path.
+func (c *Cache) emit(t EventType, clip media.Clip, bytes media.Bytes, now vtime.Time) {
 	if c.observer != nil {
 		c.observer.Observe(Event{Type: t, Clip: clip, Bytes: bytes, Now: now})
 	}

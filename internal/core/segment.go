@@ -1,14 +1,17 @@
-// Segment-granular residency: the engine generalization that promotes the
-// fixed-size block experiment from internal/policy/blocklru into a first-
-// class core concept. A cache built with WithSegments divides every clip
-// into fixed-size segments (the last one short), tracks residency per
-// segment in a bitmap, and services byte ranges: resident segments are
-// served from cache, missing ones are fetched individually, and victims can
-// lose tail segments without dropping their prefix — the behaviour prefix
-// caches use to hide startup latency for streaming media.
+// Segment-granular residency is the engine's one residency model. Every clip
+// divides into fixed-size segments (the last one short), residency is
+// tracked per segment in a bitmap, and requests are byte ranges: resident
+// segments are served from cache, missing ones are fetched individually,
+// and victims can lose tail segments without dropping their prefix — the
+// behaviour prefix caches use to hide startup latency for streaming media.
 //
-// Everything here is reached only when segSize > 0; the legacy whole-clip
-// request path is untouched and remains byte-identical to earlier PRs.
+// Whole-clip caching, the paper's model, is the degenerate point: a cache
+// built without WithSegments runs with one segment spanning each clip, so
+// Request(id) is RequestRange(id, 0, -1), a trim is an eviction and no
+// partial state can arise. The few places where an unsegmented cache
+// reports differently (segment counters stay zero, RangeResult carries the
+// requested length, snapshots carry no granularity) are bookkeeping on this
+// one path, not a second path.
 package core
 
 import (
@@ -22,12 +25,11 @@ import (
 // ErrBadRange reports a requested byte range lying outside the clip.
 var ErrBadRange = errors.New("core: requested range is outside the clip")
 
-// WithSegments switches the cache to segment-granular residency with the
-// given fixed segment size. Clips are divided into ceil(size/segSize)
-// segments; the last segment of a clip may be short. With segmentation on,
-// Request(id) behaves like RequestRange(id, 0, clip.Size): a clip is a hit
-// only when every segment is resident, and misses fetch and materialize
-// only the missing segments.
+// WithSegments divides clips into fixed-size segments of segSize bytes:
+// ceil(size/segSize) per clip, the last one possibly short. A request is a
+// hit only when every segment it touches is resident, and misses fetch and
+// materialize only the missing segments. Without this option each clip is
+// one segment.
 func WithSegments(segSize media.Bytes) Option {
 	return func(c *Cache) error {
 		if segSize <= 0 {
@@ -78,131 +80,184 @@ func WithSegmentFetch(fetch SegmentFetchFunc) Option {
 // resident-byte cost (the GD family). The engine calls OnResidentBytes
 // whenever a resident clip's cached byte total changes — segment inserts,
 // tail trims, partial restores — so the policy can re-rank the clip.
-// Whole-clip caches never call it, preserving decision identity with
-// earlier PRs.
+// Unsegmented caches never call it: a clip's resident bytes are its size
+// from OnInsert to OnEvict.
 type SegmentAware interface {
 	OnResidentBytes(clip media.Clip, resident media.Bytes, now vtime.Time)
 }
 
-// segMeta is one resident clip's segment bookkeeping.
-type segMeta struct {
-	clip     media.Clip
-	nSegs    int32
-	resident int32       // number of set bits
+// entry is one clip's residency record. The segment count and the bitmap's
+// extent are fixed when the cache is built, so the request path allocates
+// nothing; a clip with nothing resident has every other field zero.
+type entry struct {
+	deadline vtime.Time  // TTL expiry tick; zero when expiry is off
 	resBytes media.Bytes // byte total of resident segments
-	bits     []uint64
+	nSegs    int32
+	resident int32    // number of set bits
+	word     uint64   // residency bits of segments 0..63
+	more     []uint64 // segments 64 and up; nil for clips of at most 64 segments
 }
 
-func newSegMeta(clip media.Clip, n int) *segMeta {
-	return &segMeta{clip: clip, nSegs: int32(n), bits: make([]uint64, (n+63)/64)}
+// reset drops everything resident from the record.
+func (e *entry) reset() {
+	e.deadline, e.resBytes, e.resident, e.word = 0, 0, 0, 0
+	clear(e.more)
 }
 
-func (m *segMeta) has(i int32) bool { return m.bits[i>>6]&(1<<uint(i&63)) != 0 }
+// absent is the record read for a clip outside the repository: one segment,
+// not resident. It is never written.
+var absent = entry{nSegs: 1}
 
-func (m *segMeta) set(i int32) {
-	if !m.has(i) {
-		m.bits[i>>6] |= 1 << uint(i&63)
-		m.resident++
+// at returns clip id's record for reading, whatever the id.
+func (c *Cache) at(id media.ClipID) *entry {
+	if i := int(id) - 1; i >= 0 && i < len(c.entries) {
+		return &c.entries[i]
 	}
+	return &absent
 }
 
-func (m *segMeta) clear(i int32) {
-	if m.has(i) {
-		m.bits[i>>6] &^= 1 << uint(i&63)
-		m.resident--
+// bit locates segment i's residency bit.
+func (e *entry) bit(i int32) (*uint64, uint64) {
+	if i < 64 {
+		return &e.word, 1 << uint(i)
 	}
+	i -= 64
+	return &e.more[i>>6], 1 << uint(i&63)
 }
 
-// Segmented reports whether the cache tracks residency per segment.
+func (e *entry) has(i int32) bool { w, m := e.bit(i); return *w&m != 0 }
+
+// set marks a missing segment resident; clear the reverse.
+func (e *entry) set(i int32)   { w, m := e.bit(i); *w |= m; e.resident++ }
+func (e *entry) clear(i int32) { w, m := e.bit(i); *w &^= m; e.resident-- }
+
+func (e *entry) full() bool { return e.resident == e.nSegs }
+
+// appendMissing appends the segments of [s0, s1] not resident in e, in
+// ascending order; resident false disregards e and lists them all.
+func appendMissing(dst []int32, e *entry, resident bool, s0, s1 int32) []int32 {
+	if resident && e.full() {
+		return dst
+	}
+	for i := s0; i <= s1; i++ {
+		if !resident || !e.has(i) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// spanFor returns the segment size the engine computes with: segSize, or
+// for an unsegmented cache the largest clip, which makes every clip exactly
+// one segment.
+func spanFor(repo *media.Repository, segSize media.Bytes) media.Bytes {
+	if segSize > 0 {
+		return segSize
+	}
+	return repo.MaxClipSize()
+}
+
+// segmentsOf returns how many span-sized segments size bytes divide into.
+func segmentsOf(size, span media.Bytes) int32 {
+	return int32(max((size+span-1)/span, 1))
+}
+
+// segmentBytes returns the byte length of segment i of a clip of size
+// bytes — span except for a short last segment.
+func segmentBytes(size media.Bytes, i int32, span media.Bytes) media.Bytes {
+	return min(size-media.Bytes(i)*span, span)
+}
+
+// Segmented reports whether the cache was built with WithSegments.
 func (c *Cache) Segmented() bool { return c.segSize > 0 }
 
-// SegmentSize returns the fixed segment size, zero for whole-clip caches.
+// SegmentSize returns the WithSegments granularity, zero for unsegmented
+// caches.
 func (c *Cache) SegmentSize() media.Bytes { return c.segSize }
 
 // PrefixSegments returns the WithPrefixAdmission pin count (zero if unset).
 func (c *Cache) PrefixSegments() int { return c.prefixSegs }
 
 // ResidentSegments returns the total number of resident segments across all
-// clips; zero for whole-clip caches.
-func (c *Cache) ResidentSegments() int { return c.residentSegs }
-
-// SegmentsOf returns the number of segments clip divides into (always 1 for
-// whole-clip caches).
-func (c *Cache) SegmentsOf(clip media.Clip) int {
+// clips; zero for unsegmented caches, which report clips, not segments.
+func (c *Cache) ResidentSegments() int {
 	if c.segSize == 0 {
-		return 1
+		return 0
 	}
-	n := int((clip.Size + c.segSize - 1) / c.segSize)
-	if n == 0 {
-		n = 1
-	}
-	return n
+	return c.residentSegs
 }
 
-// segmentBytes returns the exact byte length of clip's segment i — segSize
-// except for a clip's short last segment.
-func (c *Cache) segmentBytes(clip media.Clip, i int32) media.Bytes {
-	if rest := clip.Size - media.Bytes(i)*c.segSize; rest < c.segSize {
-		return rest
+// SegmentsOf returns the number of segments clip divides into (always 1 for
+// unsegmented caches).
+func (c *Cache) SegmentsOf(clip media.Clip) int { return int(segmentsOf(clip.Size, c.span)) }
+
+// segOf returns the index of the segment holding byte offset off. The
+// first-segment test spares unsegmented caches the division.
+func (c *Cache) segOf(off media.Bytes) int32 {
+	if off < c.span {
+		return 0
 	}
-	return c.segSize
+	return int32(off / c.span)
+}
+
+func (c *Cache) segmentBytes(clip media.Clip, i int32) media.Bytes {
+	return segmentBytes(clip.Size, i, c.span)
 }
 
 // segRangeBytes returns the byte total of clip's segments s0..s1 inclusive.
 func (c *Cache) segRangeBytes(clip media.Clip, s0, s1 int32) media.Bytes {
-	end := media.Bytes(s1+1) * c.segSize
-	if end > clip.Size {
-		end = clip.Size
-	}
-	return end - media.Bytes(s0)*c.segSize
+	return min(media.Bytes(s1+1)*c.span, clip.Size) - media.Bytes(s0)*c.span
 }
 
-// FullyResident reports whether every byte of clip id is cached. For
-// whole-clip caches this is Resident.
-func (c *Cache) FullyResident(id media.ClipID) bool {
-	if c.segSize == 0 {
-		return c.Resident(id)
-	}
-	sm := c.segs[id]
-	return sm != nil && sm.resident == sm.nSegs
-}
+// FullyResident reports whether every byte of clip id is cached.
+func (c *Cache) FullyResident(id media.ClipID) bool { return c.at(id).full() }
 
-// SegmentResident reports whether segment seg of clip id is cached. For
-// whole-clip caches any seg of a resident clip answers true.
+// SegmentResident reports whether segment seg of clip id is cached.
 func (c *Cache) SegmentResident(id media.ClipID, seg int32) bool {
-	if c.segSize == 0 {
-		return c.Resident(id)
-	}
-	sm := c.segs[id]
-	return sm != nil && seg >= 0 && seg < sm.nSegs && sm.has(seg)
+	e := c.at(id)
+	return seg >= 0 && seg < e.nSegs && e.has(seg)
 }
 
 // ResidentSegmentsOf returns how many of clip id's segments are cached.
 func (c *Cache) ResidentSegmentsOf(id media.ClipID) int {
-	if c.segSize == 0 {
-		if c.Resident(id) {
-			return 1
-		}
-		return 0
-	}
-	if sm := c.segs[id]; sm != nil {
-		return int(sm.resident)
-	}
-	return 0
+	return int(c.at(id).resident)
 }
 
-// AppendMissingSegments appends to dst the indices of clip id's segments in
-// [s0, s1] that are not resident, in ascending order, and returns the
-// extended slice. The shard pool uses it to probe a range under its lock
-// without allocating.
-func (c *Cache) AppendMissingSegments(dst []int32, id media.ClipID, s0, s1 int32) []int32 {
-	sm := c.segs[id]
-	for i := s0; i <= s1; i++ {
-		if sm == nil || !sm.has(i) {
-			dst = append(dst, i)
-		}
+// resolveRange looks clip id up and clamps [start, start+length) to it: a
+// negative or overlong length runs to the clip's end. An unknown clip or a
+// start outside the clip is an error.
+func (c *Cache) resolveRange(id media.ClipID, start, length media.Bytes) (media.Clip, media.Bytes, error) {
+	clip, ok := c.repo.Lookup(id)
+	if !ok {
+		return clip, 0, fmt.Errorf("%w: id %d", ErrUnknownClip, id)
 	}
-	return dst
+	if start < 0 || start >= clip.Size {
+		return clip, 0, fmt.Errorf("%w: start %d of clip %d (size %v)", ErrBadRange, start, id, clip.Size)
+	}
+	if length < 0 || start+length > clip.Size {
+		length = clip.Size - start
+	}
+	return clip, length, nil
+}
+
+// AppendFetchPlan appends to dst, in ascending order, the segments the
+// fetch hook would be asked for if RequestRange(id, start, length) were
+// serviced at tick at, and returns the extended slice. It is the probe a
+// concurrent front-end runs under its lock before fetching outside it: no
+// clock tick, no accounting, no allocation. Nothing is appended for a
+// request that cannot reach the fetch path — an unknown clip, a start
+// outside the clip, a clip larger than the cache, a resident range — while
+// a clip whose TTL deadline will have passed at tick at is planned as
+// wholly missing, since the request expires it first. Admission is not
+// consulted (hooks may be stateful), so a plan can include segments the
+// request then streams uncached.
+func (c *Cache) AppendFetchPlan(dst []int32, id media.ClipID, start, length media.Bytes, at vtime.Time) []int32 {
+	clip, length, err := c.resolveRange(id, start, length)
+	if err != nil || clip.Size > c.capacity {
+		return dst
+	}
+	e := &c.entries[id-1]
+	return appendMissing(dst, e, e.resident > 0 && !c.due(e, at), c.segOf(start), c.segOf(start+length-1))
 }
 
 // Extent is a contiguous resident byte range of one clip.
@@ -213,45 +268,39 @@ type Extent struct {
 
 // ResidentExtentsOf returns clip id's resident bytes as maximal contiguous
 // extents in ascending offset order (nil when nothing is resident). A fully
-// resident clip yields one extent covering the whole clip; so does any
-// resident clip of a whole-clip cache.
+// resident clip yields one extent covering the whole clip.
 func (c *Cache) ResidentExtentsOf(id media.ClipID) []Extent {
-	if c.segSize == 0 {
-		if clip, ok := c.byID.Get(id); ok {
-			return []Extent{{Start: 0, Length: clip.Size}}
-		}
+	e := c.at(id)
+	if e.resident == 0 {
 		return nil
 	}
-	sm := c.segs[id]
-	if sm == nil || sm.resident == 0 {
-		return nil
-	}
+	clip := c.repo.Clip(id)
 	var exts []Extent
 	var runStart int32 = -1
-	for i := int32(0); i < sm.nSegs; i++ {
+	for i := int32(0); i < e.nSegs; i++ {
 		switch {
-		case sm.has(i) && runStart < 0:
+		case e.has(i) && runStart < 0:
 			runStart = i
-		case !sm.has(i) && runStart >= 0:
-			exts = append(exts, c.extentOf(sm.clip, runStart, i-1))
+		case !e.has(i) && runStart >= 0:
+			exts = append(exts, c.extentOf(clip, runStart, i-1))
 			runStart = -1
 		}
 	}
 	if runStart >= 0 {
-		exts = append(exts, c.extentOf(sm.clip, runStart, sm.nSegs-1))
+		exts = append(exts, c.extentOf(clip, runStart, e.nSegs-1))
 	}
 	return exts
 }
 
 func (c *Cache) extentOf(clip media.Clip, s0, s1 int32) Extent {
-	start := media.Bytes(s0) * c.segSize
-	return Extent{Start: start, Length: c.segRangeBytes(clip, s0, s1)}
+	return Extent{Start: media.Bytes(s0) * c.span, Length: c.segRangeBytes(clip, s0, s1)}
 }
 
 // RangeResult is the per-request delivery accounting RequestRange returns:
-// how the served range split across cache, network and failure. The fields
-// satisfy BytesHit + BytesFetched + BytesFailed == bytes of the touched
-// segments (the range rounded out to segment boundaries).
+// how the served range split across cache, network and failure. On a
+// segmented cache the fields satisfy BytesHit + BytesFetched + BytesFailed
+// == bytes of the touched segments (the range rounded out to segment
+// boundaries); on an unsegmented one they sum to Length.
 type RangeResult struct {
 	// Outcome classifies the request exactly as Request would.
 	Outcome Outcome
@@ -273,63 +322,59 @@ type RangeResult struct {
 // the whole clip. A start outside the clip fails with ErrBadRange before
 // any accounting (the HTTP layer's 416 case).
 //
-// With segment-granular residency the touched segments are serviced
-// individually: resident ones count as hit bytes, missing cacheable ones
-// are fetched (per-segment via WithSegmentFetch, else once per request via
-// WithFetch) and materialized, and non-admitted ones are streamed without
-// caching — except the WithPrefixAdmission prefix, which is always
-// cacheable. A whole-clip cache delegates to Request and reports the range
-// against its single outcome.
+// The touched segments are serviced individually: resident ones count as
+// hit bytes, missing cacheable ones are fetched (per segment via
+// WithSegmentFetch, else once per request via WithFetch) and materialized,
+// and non-admitted ones are streamed without caching — except the
+// WithPrefixAdmission prefix, which is always cacheable. Stats accounting
+// is at segment granularity: BytesReferenced grows by the touched
+// segments' bytes and every touched segment lands in exactly one of
+// BytesHit, BytesFetched or BytesFailed, so the byte identity holds per
+// segment.
 func (c *Cache) RequestRange(id media.ClipID, start, length media.Bytes) (RangeResult, error) {
-	clip, ok := c.repo.Lookup(id)
-	if !ok {
-		return RangeResult{Outcome: MissBypassed}, fmt.Errorf("%w: id %d", ErrUnknownClip, id)
+	clip, length, err := c.resolveRange(id, start, length)
+	if err != nil {
+		return RangeResult{Outcome: MissBypassed}, err
 	}
-	if start < 0 || start >= clip.Size {
-		return RangeResult{Outcome: MissBypassed},
-			fmt.Errorf("%w: start %d of clip %d (size %v)", ErrBadRange, start, id, clip.Size)
-	}
-	if length < 0 || start+length > clip.Size {
-		length = clip.Size - start
-	}
+	res, err := c.serve(clip, start, length)
 	if c.segSize == 0 {
-		out, err := c.Request(id)
-		res := RangeResult{Outcome: out, Start: start, Length: length}
-		switch out {
-		case Hit:
+		// One segment spans the clip, so exactly one of the three counters
+		// holds the clip size; the caller of an unsegmented cache is told
+		// about the bytes it asked for.
+		switch {
+		case res.BytesHit > 0:
 			res.BytesHit = length
-		case MissDegraded:
+		case res.BytesFailed > 0:
 			res.BytesFailed = length
 		default:
-			// Cached, bypassed, too-large and engine-error misses all
-			// streamed the clip to the client.
 			res.BytesFetched = length
 		}
-		return res, err
 	}
-	return c.requestRangeSegmented(clip, start, length)
+	return res, err
 }
 
-// requestRangeSegmented is the segmented request path. Stats accounting is
-// at segment granularity: BytesReferenced grows by the touched segments'
-// bytes and every touched segment lands in exactly one of BytesHit,
-// BytesFetched or BytesFailed, so the PR 4 identities hold per segment.
-func (c *Cache) requestRangeSegmented(clip media.Clip, start, length media.Bytes) (RangeResult, error) {
+// serve is the request path behind RequestRange; the range is already
+// clamped to clip.
+func (c *Cache) serve(clip media.Clip, start, length media.Bytes) (RangeResult, error) {
 	c.clock++
 	now := c.clock
-	c.mirrorClock(now)
+	c.mirror.setClock(now)
 	if c.ttl > 0 {
-		// Same order as Request: amortized sweep first, then the lazy check
-		// on the requested clip, which drops all its resident segments.
+		// Amortized sweep first, then the lazy check on the requested clip:
+		// the sweep may already have expired it, and the order must be fixed
+		// so the event stream is deterministic. An expired requested clip
+		// falls through as an ordinary miss.
 		c.maybeSweep(now)
-		c.expireIfDue(clip.ID, now)
 	}
+	e := &c.entries[clip.ID-1]
+	if c.due(e, now) {
+		c.invalidate(clip.ID, now, true)
+	}
+	resident := e.resident > 0
 
-	s0 := int32(start / c.segSize)
-	s1 := int32((start + length - 1) / c.segSize)
+	s0, s1 := c.segOf(start), c.segOf(start+length-1)
 	touched := c.segRangeBytes(clip, s0, s1)
-
-	c.segScratch = c.AppendMissingSegments(c.segScratch[:0], clip.ID, s0, s1)
+	c.segScratch = appendMissing(c.segScratch[:0], e, resident, s0, s1)
 	missing := c.segScratch
 	rangeHit := len(missing) == 0
 
@@ -341,7 +386,7 @@ func (c *Cache) requestRangeSegmented(clip media.Clip, start, length media.Bytes
 	if rangeHit {
 		c.stats.Hits++
 		c.stats.BytesHit += touched
-		c.emitB(EventHit, clip, touched, now)
+		c.emit(EventHit, clip, touched, now)
 		res.Outcome = Hit
 		res.BytesHit = touched
 		return res, nil
@@ -356,27 +401,26 @@ func (c *Cache) requestRangeSegmented(clip media.Clip, start, length media.Bytes
 	res.BytesHit = resInRange
 	if resInRange > 0 {
 		c.stats.PartialHits++
-		c.emitB(EventPartialHit, clip, resInRange, now)
+		c.emit(EventPartialHit, clip, resInRange, now)
 	}
 
+	// Fetched bytes are network traffic for segments actually delivered: a
+	// bypassed or too-large miss still streams them to the client, but a
+	// failed fetch delivers nothing and accrues to BytesFailed instead. The
+	// invariant is BytesHit + BytesFetched + BytesFailed == BytesReferenced.
+	//
 	// A clip larger than the whole cache is never cached (Section 2): its
-	// missing segments are streamed without consulting the fetch hook, the
-	// legacy bypass semantic applied per segment.
+	// missing segments are streamed without consulting the fetch hook.
 	if clip.Size > c.capacity {
 		c.stats.BytesFetched += missingBytes
 		c.stats.Bypassed++
-		c.emitB(EventBypass, clip, missingBytes, now)
+		c.emit(EventBypass, clip, missingBytes, now)
 		res.Outcome = MissTooLarge
 		res.BytesFetched = missingBytes
 		return res, nil
 	}
 
-	admitted := true
-	if c.admit != nil && !c.admit(clip, now) {
-		admitted = false
-	} else if !c.policy.Admit(clip, now) {
-		admitted = false
-	}
+	admitted := (c.admit == nil || c.admit(clip, now)) && c.policy.Admit(clip, now)
 
 	var (
 		streamed  media.Bytes // delivered but intentionally not cached
@@ -384,8 +428,8 @@ func (c *Cache) requestRangeSegmented(clip media.Clip, start, length media.Bytes
 		delivered media.Bytes // streamed + fetched-ok bytes
 		matErr    error       // first victim-selection failure, if any
 
-		// WithFetch fallback: fetch once per request, failing every
-		// cacheable missing segment together.
+		// WithFetch: fetch once per request, failing every cacheable
+		// missing segment together.
 		wholeFetched  bool
 		wholeFetchErr error
 	)
@@ -393,8 +437,8 @@ func (c *Cache) requestRangeSegmented(clip media.Clip, start, length media.Bytes
 		b := c.segmentBytes(clip, i)
 		cacheable := admitted || int(i) < c.prefixSegs
 		if !cacheable || matErr != nil {
-			// Streamed without caching; like the legacy bypass path this
-			// does not consult the fetch hook.
+			// Streamed without caching; a bypass does not consult the
+			// fetch hook.
 			streamed += b
 			delivered += b
 			continue
@@ -416,12 +460,19 @@ func (c *Cache) requestRangeSegmented(clip media.Clip, start, length media.Bytes
 		}
 		delivered += b
 		if err := c.insertSegment(clip, i, now); err != nil {
-			// The segment was delivered but cannot be materialized; the
-			// remaining missing segments are streamed uncached.
+			// insertSegment validates each victim batch before touching
+			// residency, so a misbehaving policy leaves the resident set as
+			// it was (minus any earlier, fully valid batches). The segment
+			// was delivered but cannot be materialized; the remaining
+			// missing segments are streamed uncached, and the request counts
+			// as bypassed so Requests == Hits + MissCached + Bypassed +
+			// FetchFailed still holds.
 			matErr = err
 			continue
 		}
-		c.stats.SegmentsFetched++
+		if c.segSize > 0 {
+			c.stats.SegmentsFetched++
+		}
 	}
 	c.stats.BytesFetched += delivered
 	c.stats.BytesFailed += failed
@@ -431,63 +482,59 @@ func (c *Cache) requestRangeSegmented(clip media.Clip, start, length media.Bytes
 	switch {
 	case matErr != nil:
 		c.stats.Bypassed++
-		c.emitB(EventBypass, clip, delivered, now)
+		c.emit(EventBypass, clip, delivered, now)
 		res.Outcome = MissError
 		return res, matErr
 	case failed > 0:
 		c.stats.FetchFailed++
-		c.emitB(EventFetchFail, clip, failed, now)
+		c.emit(EventFetchFail, clip, failed, now)
 		res.Outcome = MissDegraded
 	case streamed > 0:
 		c.stats.Bypassed++
-		c.emitB(EventBypass, clip, streamed, now)
+		c.emit(EventBypass, clip, streamed, now)
 		res.Outcome = MissBypassed
 	default:
-		c.emitB(EventMiss, clip, delivered, now)
+		c.emit(EventMiss, clip, delivered, now)
 		res.Outcome = MissCached
 	}
 	return res, nil
 }
 
 // insertSegment materializes one missing segment, evicting via
-// makeRoomSegment first. The first segment of a clip makes the clip
-// resident (policy OnInsert); every insert notifies SegmentAware policies
-// of the new resident byte total.
+// makeRoomSegment first. The first segment of a clip makes the clip resident
+// (policy OnInsert); every insert notifies SegmentAware policies of the new
+// resident byte total.
 func (c *Cache) insertSegment(clip media.Clip, seg int32, now vtime.Time) error {
-	if sm := c.segs[clip.ID]; sm != nil && sm.has(seg) {
-		return nil
-	}
 	b := c.segmentBytes(clip, seg)
 	if err := c.makeRoomSegment(clip, b, now); err != nil {
 		return err
 	}
-	// Re-read after makeRoomSegment: trimming may have evicted this clip's
-	// own meta (a partially resident clip is a legal victim).
-	sm := c.segs[clip.ID]
-	if sm == nil {
-		sm = newSegMeta(clip, c.SegmentsOf(clip))
-		c.segs[clip.ID] = sm
+	// Read after making room: trimming may have evicted this clip's own
+	// segments (a partially resident clip is a legal victim).
+	e := &c.entries[clip.ID-1]
+	fresh := e.resident == 0
+	if fresh {
+		e.deadline = c.deadlineFrom(now)
 	}
-	sm.set(seg)
-	sm.resBytes += b
+	e.set(seg)
+	e.resBytes += b
 	c.used += b
 	c.residentSegs++
-	if sm.resident == 1 {
-		c.resident[clip.ID] = struct{}{}
+	if fresh {
 		c.byID.Put(clip.ID, clip)
-		c.setDeadline(clip.ID, now)
-		c.mirrorAdd(clip.ID)
+		c.mirror.add(clip.ID, e.deadline)
 		c.policy.OnInsert(clip, now)
 	}
-	c.notifyResidentBytes(clip, sm.resBytes, now)
+	c.notifyResidentBytes(clip, e.resBytes, now)
 	return nil
 }
 
-// makeRoomSegment frees at least need bytes by trimming policy-selected
-// victims tail-first. Victim batches are validated in full before any trim,
-// exactly like makeRoom; unlike makeRoom, a victim that satisfies the
-// remaining need mid-batch stops the batch — partial trims make overshoot
-// pointless.
+// makeRoomSegment frees at least need bytes — room for one segment — by
+// trimming policy-selected victims tail-first. Each victim batch is
+// validated in full — every id resident, no duplicates — before any trim is
+// applied, so a misbehaving policy can never leave a partially evicted cache
+// behind. A victim that satisfies the remaining need mid-batch stops the
+// batch: partial trims make overshoot pointless.
 func (c *Cache) makeRoomSegment(incoming media.Clip, need media.Bytes, now vtime.Time) error {
 	for c.capacity-c.used < need {
 		shortfall := need - (c.capacity - c.used)
@@ -506,7 +553,7 @@ func (c *Cache) makeRoomSegment(incoming media.Clip, need media.Bytes, now vtime
 				return fmt.Errorf("%w: duplicate id %d", ErrBadVictim, vid)
 			}
 			c.victimScratch[vid] = struct{}{}
-			if _, ok := c.resident[vid]; !ok {
+			if !c.Resident(vid) {
 				return fmt.Errorf("%w: id %d", ErrBadVictim, vid)
 			}
 		}
@@ -527,70 +574,68 @@ func (c *Cache) makeRoomSegment(incoming media.Clip, need media.Bytes, now vtime
 // the last segment evicts the clip outright (policy OnEvict, EventEviction);
 // a partial trim keeps the clip resident and emits EventTrim.
 func (c *Cache) trimVictim(vid media.ClipID, need media.Bytes, now vtime.Time) {
-	sm := c.segs[vid]
-	if sm == nil || sm.resident == 0 {
-		return
-	}
-	clip := sm.clip
+	e := &c.entries[vid-1]
+	clip := c.repo.Clip(vid)
 	var trimmed media.Bytes
-	var ntrim uint64
+	var ntrim int
 	drop := func(hi, lo int32) {
-		for i := hi; i >= lo; i-- {
-			if c.capacity-c.used >= need {
-				return
-			}
-			if !sm.has(i) {
+		for i := hi; i >= lo && c.capacity-c.used < need; i-- {
+			if !e.has(i) {
 				continue
 			}
 			b := c.segmentBytes(clip, i)
-			sm.clear(i)
-			sm.resBytes -= b
+			e.clear(i)
+			e.resBytes -= b
 			c.used -= b
-			c.residentSegs--
 			trimmed += b
 			ntrim++
 		}
 	}
-	pinned := int32(c.prefixSegs)
-	if pinned > sm.nSegs {
-		pinned = sm.nSegs
+	pinned := min(int32(c.prefixSegs), e.nSegs)
+	drop(e.nSegs-1, pinned)
+	drop(pinned-1, 0)
+	c.residentSegs -= ntrim
+	if c.segSize > 0 {
+		c.stats.SegmentsEvicted += uint64(ntrim)
 	}
-	drop(sm.nSegs-1, pinned)
-	if c.capacity-c.used < need {
-		drop(pinned-1, 0)
-	}
-	if ntrim == 0 {
-		return
-	}
-	c.stats.SegmentsEvicted += ntrim
 	c.stats.BytesEvicted += trimmed
-	if sm.resident == 0 {
-		delete(c.segs, vid)
-		delete(c.resident, vid)
+	if e.resident == 0 {
+		e.deadline = 0
 		c.byID.Delete(vid)
-		c.mirrorRemove(vid)
-		c.clearDeadline(vid)
+		c.mirror.remove(vid)
 		c.stats.Evictions++
 		c.policy.OnEvict(vid, now)
-		c.emitB(EventEviction, clip, trimmed, now)
+		c.emit(EventEviction, clip, trimmed, now)
 		return
 	}
-	c.emitB(EventTrim, clip, trimmed, now)
-	c.notifyResidentBytes(clip, sm.resBytes, now)
+	c.emit(EventTrim, clip, trimmed, now)
+	c.notifyResidentBytes(clip, e.resBytes, now)
 }
 
-// adoptFullClip records full segment residency for a clip the whole-clip
-// bookkeeping already inserted (Warm, Restore of fully resident clips).
-func (c *Cache) adoptFullClip(clip media.Clip) {
-	n := c.SegmentsOf(clip)
-	sm := newSegMeta(clip, n)
-	for i := int32(0); i < int32(n); i++ {
-		sm.set(i)
+// adopt makes a non-resident clip resident with the listed segments (nil
+// means all of them) outside any request: no eviction, no clock tick, no
+// request accounting. It is the insert step of Warm and Restore, and
+// returns the adopted byte count.
+func (c *Cache) adopt(clip media.Clip, segs []int32, deadline vtime.Time) media.Bytes {
+	e := &c.entries[clip.ID-1]
+	e.deadline = deadline
+	if segs == nil {
+		for i := int32(0); i < e.nSegs; i++ {
+			e.set(i)
+		}
+		e.resBytes = clip.Size
 	}
-	sm.resBytes = clip.Size
-	c.segs[clip.ID] = sm
-	c.residentSegs += n
-	c.notifyResidentBytes(clip, clip.Size, c.clock)
+	for _, seg := range segs {
+		e.set(seg)
+		e.resBytes += c.segmentBytes(clip, seg)
+	}
+	c.byID.Put(clip.ID, clip)
+	c.mirror.add(clip.ID, deadline)
+	c.used += e.resBytes
+	c.residentSegs += int(e.resident)
+	c.policy.OnInsert(clip, c.clock)
+	c.notifyResidentBytes(clip, e.resBytes, c.clock)
+	return e.resBytes
 }
 
 // notifyResidentBytes forwards a resident-byte change to a SegmentAware

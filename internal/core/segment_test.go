@@ -66,32 +66,6 @@ func TestSegmentedOptionValidation(t *testing.T) {
 	}
 }
 
-// TestSegmentedWholeClipEquivalence drives the same trace through a
-// whole-clip cache and a segmented cache whose segment size covers every
-// clip (one segment per clip): outcomes and stats must agree, because a
-// single-segment clip degenerates to whole-clip semantics.
-func TestSegmentedWholeClipEquivalence(t *testing.T) {
-	repo := smallRepo(t)
-	whole, _ := New(repo, 50, &fifoPolicy{})
-	seg, _ := New(repo, 50, &fifoPolicy{}, WithSegments(64))
-	trace := []media.ClipID{1, 2, 3, 1, 4, 2, 3, 4, 1, 1, 2}
-	for i, id := range trace {
-		a, errA := whole.Request(id)
-		b, errB := seg.Request(id)
-		if a != b || (errA == nil) != (errB == nil) {
-			t.Fatalf("request %d (clip %d): whole=%v/%v segmented=%v/%v", i, id, a, errA, b, errB)
-		}
-	}
-	ws, ss := whole.Stats(), seg.Stats()
-	// Segment counters differ by construction; compare the shared fields.
-	ws.SegmentsFetched, ws.SegmentsEvicted = 0, 0
-	ss.SegmentsFetched, ss.SegmentsEvicted = 0, 0
-	if ws != ss {
-		t.Errorf("stats diverged:\nwhole     %+v\nsegmented %+v", ws, ss)
-	}
-	checkIdentities(t, seg.Stats())
-}
-
 func TestRequestRangePartialHit(t *testing.T) {
 	repo := smallRepo(t)
 	rec := &eventRecorder{}

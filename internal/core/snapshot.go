@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"mediacache/internal/media"
-	"mediacache/internal/rbtree"
 	"mediacache/internal/vtime"
 )
 
@@ -23,14 +22,14 @@ import (
 // resident clip through OnInsert, the same adoption path used by Warm.
 type Snapshot struct {
 	// ResidentIDs is the fully resident clip set in ascending id order.
-	// (For whole-clip caches that is every resident clip.)
+	// (For unsegmented caches that is every resident clip.)
 	ResidentIDs []media.ClipID
 	// Clock is the virtual time at capture.
 	Clock vtime.Time
 	// Stats are the accumulated statistics at capture.
 	Stats Stats
 	// SegmentSize is the capturing cache's segment granularity, zero for
-	// whole-clip caches. Snapshots decode with gob, so pre-segment archives
+	// unsegmented caches. Snapshots decode with gob, so pre-segment archives
 	// read back with a zero here and restore unchanged.
 	SegmentSize media.Bytes
 	// Partial lists partially resident clips with their resident segment
@@ -71,90 +70,85 @@ func (c *Cache) Snapshot() Snapshot {
 		Clock:       c.clock,
 		Stats:       c.stats,
 		SegmentSize: c.segSize,
+		ResidentIDs: make([]media.ClipID, 0, c.byID.Len()),
 	}
 	if c.ttl > 0 {
-		ttls := make([]ClipTTL, 0, c.byID.Len())
-		c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
-			ttls = append(ttls, ClipTTL{ID: id, Remaining: c.deadlines[id] - c.clock})
-			return true
-		})
-		s.TTLRemaining = ttls
+		s.TTLRemaining = make([]ClipTTL, 0, c.byID.Len())
 	}
-	if c.segSize == 0 {
-		ids := make([]media.ClipID, 0, c.byID.Len())
-		c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
-			ids = append(ids, id)
-			return true
-		})
-		s.ResidentIDs = ids
-		return s
-	}
-	ids := make([]media.ClipID, 0, c.byID.Len())
 	c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
-		sm := c.segs[id]
-		if sm == nil || sm.resident == 0 {
+		e := &c.entries[id-1]
+		if c.ttl > 0 {
+			s.TTLRemaining = append(s.TTLRemaining, ClipTTL{ID: id, Remaining: e.deadline - c.clock})
+		}
+		if e.full() {
+			s.ResidentIDs = append(s.ResidentIDs, id)
 			return true
 		}
-		if sm.resident == sm.nSegs {
-			ids = append(ids, id)
-			return true
-		}
-		segs := make([]int32, 0, sm.resident)
-		for i := int32(0); i < sm.nSegs; i++ {
-			if sm.has(i) {
+		segs := make([]int32, 0, e.resident)
+		for i := int32(0); i < e.nSegs; i++ {
+			if e.has(i) {
 				segs = append(segs, i)
 			}
 		}
 		s.Partial = append(s.Partial, ClipSegments{ID: id, Segments: segs})
 		return true
 	})
-	s.ResidentIDs = ids
 	return s
 }
 
-// Restore replaces the cache's state with the snapshot's. The snapshot must
-// be consistent with the repository and capacity: unknown ids, duplicates
-// or a resident set exceeding capacity are rejected, leaving the cache
-// untouched. The policy is reset and re-warmed via OnInsert.
-func (c *Cache) Restore(s Snapshot) error {
-	// Granularity compatibility: a segmented cache adopts whole-clip
-	// snapshots (pre-segment archives) by marking every segment of each
-	// clip resident, but segment lists only restore at the exact same
-	// segment size, and a whole-clip cache cannot represent partial clips.
-	switch {
-	case s.SegmentSize == c.segSize:
-	case s.SegmentSize == 0 && len(s.Partial) == 0 && c.segSize > 0:
-	default:
+// Validate checks the snapshot against a repository and a cache's
+// WithSegments granularity (zero for unsegmented) — everything short of
+// capacity, which depends on how the resident set is partitioned. Snapshots
+// arrive over the wire, so nothing is trusted: clip ids must exist and be
+// listed once, segment lists must be non-empty, in range and strictly
+// ascending, TTL spans must name resident clips once each, and the clock
+// must be non-negative. visit receives every resident clip with its
+// resident byte count (short last segments counted exactly) so the caller
+// can sum them against whatever capacity applies.
+//
+// Granularity compatibility: segment lists restore only at the exact
+// segment size they were captured at, while a snapshot of whole clips
+// (SegmentSize zero, no Partial — every pre-segment archive) restores into
+// any cache by marking every segment of each clip resident.
+func (s Snapshot) Validate(repo *media.Repository, segSize media.Bytes, visit func(id media.ClipID, resident media.Bytes)) error {
+	if s.SegmentSize != segSize && (s.SegmentSize != 0 || len(s.Partial) > 0) {
 		return fmt.Errorf("core: snapshot segment size %v does not match cache segment size %v",
-			s.SegmentSize, c.segSize)
+			s.SegmentSize, segSize)
 	}
-	var total media.Bytes
+	if s.Clock < 0 {
+		return fmt.Errorf("core: snapshot clock %d is negative", s.Clock)
+	}
+	span := spanFor(repo, segSize)
 	seen := make(map[media.ClipID]struct{}, len(s.ResidentIDs)+len(s.Partial))
-	for _, id := range s.ResidentIDs {
-		clip, ok := c.repo.Lookup(id)
+	lookup := func(id media.ClipID) (media.Clip, error) {
+		clip, ok := repo.Lookup(id)
 		if !ok {
-			return fmt.Errorf("core: snapshot references unknown clip %d", id)
+			return clip, fmt.Errorf("core: snapshot references unknown clip %d", id)
 		}
 		if _, dup := seen[id]; dup {
-			return fmt.Errorf("core: snapshot lists clip %d twice", id)
+			return clip, fmt.Errorf("core: snapshot lists clip %d twice", id)
 		}
 		seen[id] = struct{}{}
-		total += clip.Size
+		return clip, nil
+	}
+	for _, id := range s.ResidentIDs {
+		clip, err := lookup(id)
+		if err != nil {
+			return err
+		}
+		visit(id, clip.Size)
 	}
 	for _, ps := range s.Partial {
-		clip, ok := c.repo.Lookup(ps.ID)
-		if !ok {
-			return fmt.Errorf("core: snapshot references unknown clip %d", ps.ID)
+		clip, err := lookup(ps.ID)
+		if err != nil {
+			return err
 		}
-		if _, dup := seen[ps.ID]; dup {
-			return fmt.Errorf("core: snapshot lists clip %d twice", ps.ID)
-		}
-		seen[ps.ID] = struct{}{}
 		if len(ps.Segments) == 0 {
 			return fmt.Errorf("core: snapshot lists clip %d as partial with no segments", ps.ID)
 		}
-		n := int32(c.SegmentsOf(clip))
+		n := segmentsOf(clip.Size, span)
 		prev := int32(-1)
+		var resident media.Bytes
 		for _, seg := range ps.Segments {
 			if seg < 0 || seg >= n {
 				return fmt.Errorf("core: snapshot segment %d of clip %d out of range [0,%d)", seg, ps.ID, n)
@@ -163,96 +157,64 @@ func (c *Cache) Restore(s Snapshot) error {
 				return fmt.Errorf("core: snapshot segments of clip %d not strictly ascending", ps.ID)
 			}
 			prev = seg
-			total += c.segmentBytes(clip, seg)
+			resident += segmentBytes(clip.Size, seg, span)
 		}
+		visit(ps.ID, resident)
 	}
-	if total > c.capacity {
-		return fmt.Errorf("core: snapshot holds %v, exceeding capacity %v", total, c.capacity)
-	}
-	if s.Clock < 0 {
-		return fmt.Errorf("core: snapshot clock %d is negative", s.Clock)
-	}
-	var rem map[media.ClipID]vtime.Duration
-	if len(s.TTLRemaining) > 0 {
-		rem = make(map[media.ClipID]vtime.Duration, len(s.TTLRemaining))
-		for _, ct := range s.TTLRemaining {
-			if _, resident := seen[ct.ID]; !resident {
-				return fmt.Errorf("core: snapshot carries a TTL for non-resident clip %d", ct.ID)
-			}
-			if _, dup := rem[ct.ID]; dup {
-				return fmt.Errorf("core: snapshot lists clip %d's TTL twice", ct.ID)
-			}
-			rem[ct.ID] = ct.Remaining
+	ttlSeen := make(map[media.ClipID]struct{}, len(s.TTLRemaining))
+	for _, ct := range s.TTLRemaining {
+		if _, resident := seen[ct.ID]; !resident {
+			return fmt.Errorf("core: snapshot carries a TTL for non-resident clip %d", ct.ID)
 		}
-	}
-	c.resident = make(map[media.ClipID]struct{}, len(s.ResidentIDs)+len(s.Partial))
-	c.byID = rbtree.New[media.ClipID, media.Clip](lessClipID)
-	c.mirrorClear()
-	c.used = 0
-	c.clock = s.Clock
-	c.mirrorClock(c.clock)
-	c.stats = s.Stats
-	if c.segSize > 0 {
-		c.segs = make(map[media.ClipID]*segMeta, len(s.ResidentIDs)+len(s.Partial))
-		c.residentSegs = 0
-	}
-	if c.ttl > 0 {
-		// Clips whose snapshot carries a remaining TTL resume it relative to
-		// the restore clock (the cluster rebalance path depends on deadlines
-		// surviving the move); clips without one — pre-churn archives, or
-		// captures from a TTL-off cache — get a fresh TTL from the restore
-		// point, since their remaining life is unknowable.
-		c.deadlines = make(map[media.ClipID]vtime.Time, len(s.ResidentIDs)+len(s.Partial))
-		c.lastSweep = s.Clock
-	}
-	c.policy.Reset()
-	for _, id := range s.ResidentIDs {
-		clip := c.repo.Clip(id)
-		c.resident[id] = struct{}{}
-		c.byID.Put(id, clip)
-		c.restoreDeadline(id, rem)
-		c.mirrorAdd(id)
-		c.used += clip.Size
-		c.policy.OnInsert(clip, c.clock)
-		if c.segSize > 0 {
-			c.adoptFullClip(clip)
+		if _, dup := ttlSeen[ct.ID]; dup {
+			return fmt.Errorf("core: snapshot lists clip %d's TTL twice", ct.ID)
 		}
-		c.emit(EventRestore, clip, c.clock)
-	}
-	for _, ps := range s.Partial {
-		clip := c.repo.Clip(ps.ID)
-		sm := newSegMeta(clip, c.SegmentsOf(clip))
-		for _, seg := range ps.Segments {
-			sm.set(seg)
-			sm.resBytes += c.segmentBytes(clip, seg)
-		}
-		c.segs[ps.ID] = sm
-		c.resident[ps.ID] = struct{}{}
-		c.byID.Put(ps.ID, clip)
-		c.restoreDeadline(ps.ID, rem)
-		c.mirrorAdd(ps.ID)
-		c.used += sm.resBytes
-		c.residentSegs += int(sm.resident)
-		c.policy.OnInsert(clip, c.clock)
-		c.notifyResidentBytes(clip, sm.resBytes, c.clock)
-		c.emitB(EventRestore, clip, sm.resBytes, c.clock)
+		ttlSeen[ct.ID] = struct{}{}
 	}
 	return nil
 }
 
-// restoreDeadline installs a restored clip's expiry deadline: the carried
-// remaining TTL when the snapshot has one, a fresh TTL otherwise. Like
-// setDeadline it must run before the mirror publication so lock-free
-// readers see residency and expiry atomically.
-func (c *Cache) restoreDeadline(id media.ClipID, rem map[media.ClipID]vtime.Duration) {
-	if c.ttl <= 0 {
-		return
+// Restore replaces the cache's state with the snapshot's. The snapshot must
+// pass Validate and fit the capacity; otherwise it is rejected, leaving the
+// cache untouched. The policy is reset and re-warmed via OnInsert.
+func (c *Cache) Restore(s Snapshot) error {
+	var total media.Bytes
+	if err := s.Validate(c.repo, c.segSize, func(_ media.ClipID, b media.Bytes) { total += b }); err != nil {
+		return err
 	}
-	if r, ok := rem[id]; ok {
-		c.deadlines[id] = c.clock + r
-		return
+	if total > c.capacity {
+		return fmt.Errorf("core: snapshot holds %v, exceeding capacity %v", total, c.capacity)
 	}
-	c.setDeadline(id, c.clock)
+	c.clearResidency()
+	c.clock = s.Clock
+	c.mirror.setClock(c.clock)
+	c.lastSweep = s.Clock
+	c.stats = s.Stats
+	c.policy.Reset()
+	// Clips whose snapshot carries a remaining TTL resume it relative to
+	// the restore clock (the cluster rebalance path depends on deadlines
+	// surviving the move); clips without one — pre-churn archives, or
+	// captures from a TTL-off cache — get a fresh TTL from the restore
+	// point, since their remaining life is unknowable.
+	rem := make(map[media.ClipID]vtime.Duration, len(s.TTLRemaining))
+	for _, ct := range s.TTLRemaining {
+		rem[ct.ID] = ct.Remaining
+	}
+	restore := func(id media.ClipID, segs []int32) {
+		deadline := c.deadlineFrom(c.clock)
+		if r, ok := rem[id]; ok && c.ttl > 0 {
+			deadline = c.clock + r
+		}
+		clip := c.repo.Clip(id)
+		c.emit(EventRestore, clip, c.adopt(clip, segs, deadline), c.clock)
+	}
+	for _, id := range s.ResidentIDs {
+		restore(id, nil)
+	}
+	for _, ps := range s.Partial {
+		restore(ps.ID, ps.Segments)
+	}
+	return nil
 }
 
 // WriteSnapshot serializes the snapshot with encoding/gob.

@@ -9,8 +9,8 @@ package core
 //
 // Expiry is lazy-plus-amortized: each request checks only the clip it
 // references, and a sweep over the resident index runs every sweepEvery
-// ticks. The sweep rides the ordinary request path (Request, ApplyHit,
-// RequestRange all tick the clock), so the PR 7 lock-reduced front-end
+// ticks. The sweep rides the ordinary request path (RequestRange and
+// ApplyHit both tick the clock), so the PR 7 lock-reduced front-end
 // needs no extra engine interaction: batched-touch drains replay through
 // ApplyHit and thereby advance the sweep too, keeping pure hits zero-lock.
 
@@ -43,60 +43,48 @@ func (c *Cache) TTL() vtime.Duration { return c.ttl }
 // DeadlineOf returns the virtual time at which resident clip id expires,
 // or zero when expiry is disabled or the clip is not resident.
 func (c *Cache) DeadlineOf(id media.ClipID) vtime.Time {
+	return c.at(id).deadline
+}
+
+// deadlineFrom returns the expiry deadline of a clip becoming resident at
+// time now: zero when expiry is off.
+func (c *Cache) deadlineFrom(now vtime.Time) vtime.Time {
 	if c.ttl == 0 {
 		return 0
 	}
-	return c.deadlines[id]
+	return now + vtime.Time(c.ttl)
 }
 
-// setDeadline records the expiry deadline for a clip becoming resident at
-// time now. Must run before the mirror publication (mirrorAdd reads the
-// deadline so lock-free readers see residency and expiry atomically).
-func (c *Cache) setDeadline(id media.ClipID, now vtime.Time) {
-	if c.ttl > 0 {
-		c.deadlines[id] = now + vtime.Time(c.ttl)
-	}
-}
-
-// clearDeadline drops a clip's expiry deadline when it leaves residency.
-func (c *Cache) clearDeadline(id media.ClipID) {
-	if c.ttl > 0 {
-		delete(c.deadlines, id)
-	}
+// due reports whether e has resident segments whose deadline has passed at
+// time now.
+func (c *Cache) due(e *entry, now vtime.Time) bool {
+	return c.ttl > 0 && e.resident > 0 && now > e.deadline
 }
 
 // Invalidate drops clip id from the cache — a catalog event (the clip
-// perished upstream), not a capacity eviction. Residency is dropped at
-// whatever granularity is cached (whole clip or resident segments), the
-// bytes are credited back, the policy and any attached ResidencyMirror are
-// notified, and Stats.Invalidated/BytesInvalidated accrue. Invalidation
-// ticks no clock and counts no request. The freed byte count is returned;
-// invalidating a non-resident clip is a no-op returning zero.
+// perished upstream), not a capacity eviction. Every resident segment is
+// dropped, the bytes are credited back, the policy and any attached
+// ResidencyMirror are notified, and Stats.Invalidated/BytesInvalidated
+// accrue. Invalidation ticks no clock and counts no request. The freed byte
+// count is returned; invalidating a non-resident clip is a no-op returning
+// zero.
 func (c *Cache) Invalidate(id media.ClipID) media.Bytes {
 	return c.invalidate(id, c.clock, false)
 }
 
 // invalidate is the shared implementation behind Invalidate and TTL expiry.
+// Unlike a capacity trim this is not an eviction, so SegmentsEvicted and
+// the eviction counters stay untouched.
 func (c *Cache) invalidate(id media.ClipID, now vtime.Time, expired bool) media.Bytes {
-	clip, ok := c.byID.Get(id)
-	if !ok {
+	if !c.Resident(id) {
 		return 0
 	}
-	freed := clip.Size
-	if c.segSize > 0 {
-		if sm := c.segs[id]; sm != nil {
-			// Segment-aware drop: credit only the resident bytes. Unlike a
-			// capacity trim this is not an eviction, so SegmentsEvicted and
-			// the eviction counters stay untouched.
-			freed = sm.resBytes
-			c.residentSegs -= int(sm.resident)
-			delete(c.segs, id)
-		}
-	}
-	delete(c.resident, id)
+	e := &c.entries[id-1]
+	freed := e.resBytes
+	c.residentSegs -= int(e.resident)
+	e.reset()
 	c.byID.Delete(id)
-	c.mirrorRemove(id)
-	c.clearDeadline(id)
+	c.mirror.remove(id)
 	c.used -= freed
 	c.stats.Invalidated++
 	if expired {
@@ -104,7 +92,7 @@ func (c *Cache) invalidate(id media.ClipID, now vtime.Time, expired bool) media.
 	}
 	c.stats.BytesInvalidated += freed
 	c.policy.OnEvict(id, now)
-	c.emitB(EventInvalidate, clip, freed, now)
+	c.emit(EventInvalidate, c.repo.Clip(id), freed, now)
 	return freed
 }
 
@@ -116,16 +104,15 @@ func (c *Cache) SweepExpired() int {
 }
 
 // sweepExpired walks the resident index in ascending ID order collecting
-// expired clips, then invalidates them in that order. Walking the ordered
-// index — never the deadlines map, whose iteration order is randomized —
-// keeps the OnEvict/event stream deterministic for a given request history.
+// expired clips, then invalidates them in that order, which keeps the
+// OnEvict/event stream deterministic for a given request history.
 func (c *Cache) sweepExpired(now vtime.Time) int {
-	if c.ttl == 0 || len(c.deadlines) == 0 {
+	if c.ttl == 0 {
 		return 0
 	}
 	c.expireScratch = c.expireScratch[:0]
 	c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
-		if dl, ok := c.deadlines[id]; ok && now > dl {
+		if now > c.entries[id-1].deadline {
 			c.expireScratch = append(c.expireScratch, id)
 		}
 		return true
@@ -142,13 +129,5 @@ func (c *Cache) maybeSweep(now vtime.Time) {
 	if now-c.lastSweep >= c.sweepEvery {
 		c.lastSweep = now
 		c.sweepExpired(now)
-	}
-}
-
-// expireIfDue lazily expires the requested clip when its deadline has
-// passed, so a request can never hit stale content even between sweeps.
-func (c *Cache) expireIfDue(id media.ClipID, now vtime.Time) {
-	if dl, ok := c.deadlines[id]; ok && now > dl {
-		c.invalidate(id, now, true)
 	}
 }

@@ -490,9 +490,7 @@ func (p *Pool) RequestRange(id media.ClipID, start, length media.Bytes) (core.Ra
 	if length < 0 || start+length > clip.Size {
 		length = clip.Size - start
 	}
-	s0 := int32(start / p.segSize)
-	s1 := int32((start + length - 1) / p.segSize)
-	s.missBuf = s.cache.AppendMissingSegments(s.missBuf[:0], id, s0, s1)
+	s.missBuf = s.cache.AppendFetchPlan(s.missBuf[:0], id, start, length, s.cache.Now()+1)
 	if len(s.missBuf) == 0 {
 		// Fully resident range: a pure hit under the lock.
 		res, err := s.cache.RequestRange(id, start, length)
