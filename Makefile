@@ -1,11 +1,25 @@
 GO ?= go
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: build test vet race racecheck alloccheck rangecheck loadcheck churncheck clustercheck tracecheck check bench loadbench benchcmp fuzz-smoke
+.PHONY: build test vet race racecheck alloccheck rangecheck loadcheck churncheck clustercheck tracecheck benchcheck check bench loadbench benchcmp fuzz-smoke
 
 # Each fuzz target gets a short smoke budget; go test allows only one
 # -fuzz pattern per invocation, so targets run sequentially.
 FUZZTIME ?= 10s
+
+# run-matched runs `go test -run $(1)` over the packages $(2), after checking
+# with `go test -list` that the pattern names at least $(3) tests (default 1)
+# in every one of them: a gate must fail, not shrink, when a test it selects
+# by regex is renamed.
+define run-matched
+	@for pkg in $(2); do \
+		n=$$($(GO) test -list $(1) $$pkg | grep -c '^Test'); \
+		if [ "$$n" -lt $(or $(3),1) ]; then \
+			echo "$@: pattern matches $$n tests in $$pkg, want at least $(or $(3),1)" >&2; exit 1; \
+		fi; \
+	done
+	$(GO) test -run $(1) -count=1 $(2)
+endef
 
 build:
 	$(GO) build ./...
@@ -32,13 +46,13 @@ racecheck:
 # observer adds none either), and in an eviction-heavy steady state the
 # indexed victim-selection paths allocate nothing per Victims call.
 alloccheck:
-	$(GO) test -run 'TestRequestZeroAllocsNilObserver|TestRequestAllocsUnchangedWithObserver|TestVictimsZeroAllocsSteadyState' -count=1 ./internal/core
+	$(call run-matched,'TestRequestZeroAllocsNilObserver|TestRequestAllocsUnchangedWithObserver|TestVictimsZeroAllocsSteadyState',./internal/core,3)
 
 # rangecheck runs the partial-content conformance surface: the HTTP Range
 # suite (206/200/416, HEAD, extents), the segmented engine and pool tests,
 # and the per-segment byte-identity property under faults.
 rangecheck:
-	$(GO) test -run 'Range|Segment|HeadClip|Extents|Coalescing' -count=1 ./internal/core ./internal/shard ./cmd/cacheserver
+	$(call run-matched,'Range|Segment|HeadClip|Extents|Coalescing',./internal/core ./internal/shard ./cmd/cacheserver)
 
 # loadcheck is the open-loop load smoke: a short fixed-seed loadgen run
 # (in-process pool, batched arrivals, 10% fault profile) that must sustain
@@ -52,9 +66,8 @@ loadcheck:
 # policy, the 1-shard-equals-bare differential with TTL, the DELETE route
 # and its client fallback, and the churn experiment's determinism.
 churncheck:
-	$(GO) test -run 'Churn|Invalidate|TTL|Expir|Delete' -count=1 \
-		./internal/workload ./internal/core ./internal/shard \
-		./internal/sim ./internal/cacheclient ./cmd/cacheserver
+	$(call run-matched,'Churn|Invalidate|TTL|Expir|Delete',./internal/workload ./internal/core \
+		./internal/shard ./internal/sim ./internal/cacheclient ./cmd/cacheserver)
 
 # clustercheck runs the cooperative-tier conformance surface under the race
 # detector: the consistent-hash ring, digest verdicts, hedged peer reads,
@@ -76,12 +89,21 @@ tracecheck:
 		./internal/workload ./internal/trace ./internal/sim \
 		./cmd/traceql ./cmd/tracegen ./cmd/loadgen ./cmd/cacheserver
 
+# benchcheck vets and tests the repository benchmark. bench/ is a module of
+# its own (it replaces mediacache with this checkout), so `go build ./...`
+# and `go test ./...` at the root never compile it, yet it calls the
+# internal/core and internal/shard API directly.
+benchcheck:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
 # check is the tier-1 gate plus static analysis, the race detector, the
 # request-path allocation assertion, the Range-conformance surface, the
 # open-loop load smoke, the catalog-churn surface, the cooperative cluster
-# surface and the sessionized-analytics surface. vet and test cover every
-# package, including internal/metrics and internal/obs.
-check: build vet test race alloccheck rangecheck loadcheck churncheck clustercheck tracecheck
+# surface, the sessionized-analytics surface and the nested benchmark
+# module. vet and test cover every package of the root module, including
+# internal/metrics and internal/obs.
+check: build vet test race alloccheck rangecheck loadcheck churncheck clustercheck tracecheck benchcheck
 
 # bench runs the full benchmark suite and archives the run as test2json
 # events (one dated file per day; reruns overwrite).

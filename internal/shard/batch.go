@@ -3,10 +3,11 @@ package shard
 // batch.go is the pool half of the batched request API: callers submit an
 // ordered list of clip references (optionally ranged) and get per-item
 // outcomes back. Items are grouped by owning shard and the groups proceed
-// concurrently; within a shard the engine work for the whole group runs
-// under a bounded number of lock acquisitions instead of one per item —
-// zero when every item is a published-view hit, one when nothing needs
-// fetching, two when misses were fetched outside the lock.
+// concurrently; within a shard the whole group takes the staged path
+// (staged.go) once, so the engine work runs under a bounded number of lock
+// acquisitions instead of one per item — zero when every item is a
+// published-view hit, one when nothing needs fetching, two when misses were
+// fetched outside the lock.
 
 import (
 	"sync"
@@ -78,167 +79,47 @@ func (p *Pool) RequestBatch(items []BatchItem) []BatchResult {
 	return out
 }
 
+// groupLen and itemAt read a shard group: idxs lists the group's positions
+// in items in submission order, and nil means the group is all of items.
+func groupLen(items []BatchItem, idxs []int) int {
+	if idxs == nil {
+		return len(items)
+	}
+	return len(idxs)
+}
+
+func itemAt(idxs []int, k int) int {
+	if idxs == nil {
+		return k
+	}
+	return idxs[k]
+}
+
 // batchShard services one shard's slice of a batch. idxs lists the item
 // indices owned by this shard in submission order; nil means all of them
 // (the single-shard pool).
 func (p *Pool) batchShard(s *poolShard, items []BatchItem, idxs []int, out []BatchResult) {
-	n := len(idxs)
-	if idxs == nil {
-		n = len(items)
-	}
-	at := func(k int) int {
-		if idxs == nil {
-			return k
-		}
-		return idxs[k]
-	}
-
 	// Pure-hit groups: every item whole-clip and in the published view.
 	// Touches enqueue under one buffer-lock acquisition; the engine lock is
 	// not taken at all.
 	if p.fastPath {
-		allHit := true
+		n := groupLen(items, idxs)
+		var buf [32]media.ClipID // keeps the usual group's ids off the heap
+		ids := buf[:0]
 		for k := 0; k < n; k++ {
-			it := &items[at(k)]
+			i := itemAt(idxs, k)
 			// Item k's touch replays k ticks after the already-pending ones,
 			// so its deadline is checked that many ticks ahead.
-			if it.Ranged || !p.fastHitOK(s, it.ID, int64(k)) {
-				allHit = false
+			if items[i].Ranged || !p.fastHitOK(s, items[i].ID, int64(k)) {
 				break
 			}
+			ids = append(ids, items[i].ID)
+			out[i] = BatchResult{Outcome: core.Hit}
 		}
-		if allHit {
-			ids := make([]media.ClipID, n)
-			for k := 0; k < n; k++ {
-				i := at(k)
-				ids[k] = items[i].ID
-				out[i] = BatchResult{Outcome: core.Hit}
-			}
-			p.recordTouchSlice(s, ids)
+		if len(ids) == n {
+			p.recordTouch(s, ids...)
 			return
 		}
 	}
-
-	// Segment-granular pools fetch per missing segment with per-item
-	// flight staging; the batch form keeps submission order per shard and
-	// cross-shard concurrency, but does not amortize the lock further.
-	if p.segFetch != nil && p.segSize > 0 {
-		for k := 0; k < n; k++ {
-			i := at(k)
-			it := &items[i]
-			if it.Ranged {
-				res, err := p.RequestRange(it.ID, it.Start, it.Length)
-				out[i] = BatchResult{Outcome: res.Outcome, Range: res, Err: err}
-			} else {
-				o, err := p.Request(it.ID)
-				out[i] = BatchResult{Outcome: o, Err: err}
-			}
-		}
-		return
-	}
-
-	// Whole-clip engines. Probe under the lock for items that will reach
-	// the engine's fetch path, fetch each distinct missing clip outside it
-	// (sharing flights with concurrent requests), then apply every item in
-	// order under one acquisition with the results staged.
-	var missing []media.Clip
-	if p.fetch != nil {
-		p.lockDrained(s)
-		var seen map[media.ClipID]struct{}
-		for k := 0; k < n; k++ {
-			it := &items[at(k)]
-			clip, known := p.repo.Lookup(it.ID)
-			if !known || s.cache.Resident(it.ID) || clip.Size > s.cache.Capacity() {
-				continue
-			}
-			if seen == nil {
-				seen = make(map[media.ClipID]struct{}, n)
-			}
-			if _, dup := seen[clip.ID]; dup {
-				continue
-			}
-			seen[clip.ID] = struct{}{}
-			missing = append(missing, clip)
-		}
-		if len(missing) == 0 {
-			// Nothing to fetch: service the whole group under the lock we
-			// already hold.
-			p.applyBatchLocked(s, items, idxs, out, nil)
-			s.mu.Unlock()
-			return
-		}
-		// The engine stamps fetches with the servicing request's tick; the
-		// best estimate before re-locking is the next tick of this shard's
-		// clock, exactly as in Request.
-		now := s.cache.Now() + 1
-		s.mu.Unlock()
-
-		errs := make(map[media.ClipID]error, len(missing))
-		if len(missing) == 1 {
-			clip := missing[0]
-			errs[clip.ID] = p.flight.do(flightKey{id: clip.ID, seg: wholeClip}, func() error {
-				p.fetches.Add(1)
-				return p.fetch(clip, now)
-			})
-		} else {
-			var (
-				wg sync.WaitGroup
-				mu sync.Mutex
-			)
-			wg.Add(len(missing))
-			for _, clip := range missing {
-				go func(clip media.Clip) {
-					defer wg.Done()
-					err := p.flight.do(flightKey{id: clip.ID, seg: wholeClip}, func() error {
-						p.fetches.Add(1)
-						return p.fetch(clip, now)
-					})
-					mu.Lock()
-					errs[clip.ID] = err
-					mu.Unlock()
-				}(clip)
-			}
-			wg.Wait()
-		}
-
-		p.lockDrained(s)
-		p.applyBatchLocked(s, items, idxs, out, errs)
-		s.mu.Unlock()
-		return
-	}
-
-	p.lockDrained(s)
-	p.applyBatchLocked(s, items, idxs, out, nil)
-	s.mu.Unlock()
-}
-
-// applyBatchLocked services a shard group in submission order under the
-// held engine lock, staging any pre-resolved fetch results item by item. A
-// miss whose clip was not pre-fetched (evicted or newly referenced between
-// probe and apply) falls through shardFetch to the pool's fetch hook, which
-// runs under the lock — rare enough not to matter, and identical to what a
-// Warm-path fetch does today.
-func (p *Pool) applyBatchLocked(s *poolShard, items []BatchItem, idxs []int, out []BatchResult, errs map[media.ClipID]error) {
-	n := len(idxs)
-	if idxs == nil {
-		n = len(items)
-	}
-	for k := 0; k < n; k++ {
-		i := k
-		if idxs != nil {
-			i = idxs[k]
-		}
-		it := &items[i]
-		if err, ok := errs[it.ID]; ok {
-			s.pre = preFetch{id: it.ID, err: err, ok: true}
-		}
-		if it.Ranged {
-			res, err := s.cache.RequestRange(it.ID, it.Start, it.Length)
-			out[i] = BatchResult{Outcome: res.Outcome, Range: res, Err: err}
-		} else {
-			o, err := s.cache.Request(it.ID)
-			out[i] = BatchResult{Outcome: o, Err: err}
-		}
-		s.pre = preFetch{}
-	}
+	p.serve(s, items, idxs, out)
 }

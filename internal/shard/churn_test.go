@@ -63,21 +63,39 @@ func churnDrive(t *testing.T, gen *workload.Churn, req func(media.ClipID) (core.
 // TestSingleShardChurnEquivalence drives the same churn schedule — TTL on,
 // perish-driven invalidation — through a 1-shard pool and a bare cache
 // built from the same seed, and requires identical outcomes, statistics,
-// resident sets, snapshot bytes and event streams (victim for victim).
+// resident sets, snapshot bytes and event streams (victim for victim). The
+// counted-link variant adds a fetch hook on both sides and requires the
+// pool's logical fetch count to equal the link consultations: a TTL-expired
+// clip is refetched through a counted flight, not under the lock.
 func TestSingleShardChurnEquivalence(t *testing.T) {
+	t.Run("no-fetch", func(t *testing.T) { testSingleShardChurnEquivalence(t, false) })
+	t.Run("counted-link", func(t *testing.T) { testSingleShardChurnEquivalence(t, true) })
+}
+
+func testSingleShardChurnEquivalence(t *testing.T, countedLink bool) {
 	repo := media.PaperRepository()
 	capacity := repo.CacheSizeForRatio(testRatio)
 	spec := workload.ChurnSpec{Rate: 0.05, Life: 800, Horizon: 6000}
 	const ttl = 500
 
 	var poolEvents, cacheEvents eventCollector
-	pool, err := New(Config{
+	var poolLink, cacheLink atomic.Uint64
+	cfg := Config{
 		Policy: "greedydual", Repo: repo, Capacity: capacity,
 		Seed: 7, Shards: 1, TTL: ttl,
 		ShardOptions: func(int) []core.Option {
 			return []core.Option{core.WithObserver(&poolEvents)}
 		},
-	})
+	}
+	cacheOpts := []core.Option{core.WithTTL(ttl), core.WithObserver(&cacheEvents)}
+	if countedLink {
+		cfg.Fetch = func(media.Clip, vtime.Time) error { poolLink.Add(1); return nil }
+		cacheOpts = append(cacheOpts, core.WithFetch(func(media.Clip, vtime.Time) error {
+			cacheLink.Add(1)
+			return nil
+		}))
+	}
+	pool, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +103,7 @@ func TestSingleShardChurnEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := core.New(repo, capacity, pol,
-		core.WithTTL(ttl), core.WithObserver(&cacheEvents))
+	cache, err := core.New(repo, capacity, pol, cacheOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +133,10 @@ func TestSingleShardChurnEquivalence(t *testing.T) {
 	}
 	if ps.Invalidated == 0 || ps.Expired == 0 {
 		t.Fatalf("churn drive produced no invalidations/expiries: %+v", ps)
+	}
+	if countedLink && (poolLink.Load() == 0 || pool.Fetches() != poolLink.Load() || poolLink.Load() != cacheLink.Load()) {
+		t.Fatalf("Fetches() = %d, pool link consulted %d times, bare cache link %d times",
+			pool.Fetches(), poolLink.Load(), cacheLink.Load())
 	}
 	pids, cids := pool.ResidentIDs(), core.CollectResidentIDs(cache)
 	if len(pids) != len(cids) {

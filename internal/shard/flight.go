@@ -7,17 +7,14 @@ import (
 	"mediacache/internal/media"
 )
 
-// flightKey identifies one coalescable fetch: a whole clip (seg == wholeClip)
-// or one segment of a clip under a segmented pool. Keying per segment lets
+// flightKey identifies one coalescable fetch: one segment of a clip (an
+// unsegmented pool's clips are their segment 0). Keying per segment lets
 // two requests for disjoint ranges of the same clip fetch in parallel while
 // still sharing any segment they both miss.
 type flightKey struct {
 	id  media.ClipID
 	seg int32
 }
-
-// wholeClip is the flightKey segment index of an unsegmented fetch.
-const wholeClip int32 = -1
 
 // flightGroup coalesces concurrent fetches for the same key: the first
 // requester becomes the leader and executes the fetch; requesters arriving
@@ -36,8 +33,8 @@ type flightGroup struct {
 
 // flightCall is one in-flight fetch.
 type flightCall struct {
-	done chan struct{}
-	err  error // written by the leader before done is closed
+	done sync.WaitGroup // holds one count until the leader settles
+	err  error          // written by the leader before done is released
 }
 
 // init prepares the group's map; must be called before the first do.
@@ -55,10 +52,11 @@ func (g *flightGroup) do(key flightKey, fn func() error) error {
 	if c, inFlight := g.m[key]; inFlight {
 		g.coalesced.Add(1)
 		g.mu.Unlock()
-		<-c.done
+		c.done.Wait()
 		return c.err
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := new(flightCall)
+	c.done.Add(1)
 	g.m[key] = c
 	g.mu.Unlock()
 
@@ -67,6 +65,6 @@ func (g *flightGroup) do(key flightKey, fn func() error) error {
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
-	close(c.done)
+	c.done.Done()
 	return c.err
 }

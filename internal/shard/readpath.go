@@ -25,6 +25,7 @@ package shard
 // serialized order, and the stats identities hold in all of them.
 
 import (
+	"mediacache/internal/core"
 	"mediacache/internal/media"
 )
 
@@ -34,31 +35,9 @@ import (
 // hit-heavy shard.
 const touchBatchSize = 256
 
-// recordTouch enqueues one fast-path hit and drains the buffer when it
-// reaches the batch threshold.
-func (p *Pool) recordTouch(s *poolShard, id media.ClipID) {
-	p.fastHits.Add(1)
-	s.touchMu.Lock()
-	s.pending.Add(1)
-	s.touches = append(s.touches, id)
-	if len(s.touches) < touchBatchSize {
-		s.touchMu.Unlock()
-		return
-	}
-	batch := s.touches
-	s.touches = s.touchSpare[:0]
-	s.touchSpare = nil
-	s.touchMu.Unlock()
-
-	s.mu.Lock()
-	p.applyTouches(s, batch)
-	s.mu.Unlock()
-	p.recycleTouchBuf(s, batch)
-}
-
-// recordTouchSlice enqueues a batch of fast-path hits under one buffer-lock
-// acquisition, draining at most once.
-func (p *Pool) recordTouchSlice(s *poolShard, ids []media.ClipID) {
+// recordTouch enqueues fast-path hits under one buffer-lock acquisition and
+// drains the buffer, at most once, when it reaches the batch threshold.
+func (p *Pool) recordTouch(s *poolShard, ids ...media.ClipID) {
 	p.fastHits.Add(uint64(len(ids)))
 	s.touchMu.Lock()
 	s.pending.Add(int64(len(ids)))
@@ -133,13 +112,21 @@ func (p *Pool) lockDrained(s *poolShard) {
 	p.drainLocked(s)
 }
 
-// lockAllDrained acquires every shard lock in index order and drains each,
-// giving pool-wide readers (Stats, Snapshot, ...) a consistent view with no
-// touches outstanding.
-func (p *Pool) lockAllDrained() {
-	p.lockAll()
+// eachDrained runs fn on every shard's engine, in index order, with every
+// shard lock held (acquired in index order; a request never holds more than
+// one, so no ordering deadlock is possible) and every shard drained — the
+// consistent view with no touches outstanding that pool-wide readers and
+// writers (Stats, Snapshot, Reset, ...) work on.
+func (p *Pool) eachDrained(fn func(i int, c *core.Cache)) {
 	for _, s := range p.shards {
+		s.mu.Lock()
+	}
+	for i, s := range p.shards {
 		p.drainLocked(s)
+		fn(i, s.cache)
+	}
+	for _, s := range p.shards {
+		s.mu.Unlock()
 	}
 }
 

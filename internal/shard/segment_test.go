@@ -118,72 +118,94 @@ func TestSegmentedSingleShardEquivalence(t *testing.T) {
 }
 
 // TestPerSegmentCoalescing pins the per-(clip, segment) singleflight: G
-// concurrent requests for the same cold range execute each segment's fetch
-// exactly once while every other requester waits for that leader.
+// concurrent requests for the same cold bytes execute each segment's fetch
+// exactly once while every other requester waits for that leader — for a
+// byte range and for a whole-clip Request alike. Every leader parks on the
+// gate until all joins are in, so the test only completes if the segments'
+// fetches are in flight together, outside the shard lock.
 func TestPerSegmentCoalescing(t *testing.T) {
 	repo := media.PaperRepository()
 	clip := repo.Clip(1) // 3.5 GB: 14 segments of 256 MB
 	const G = 8
-	reqSegs := int((media.GB + testSegSize - 1) / testSegSize) // first GB: 4 segments
-
-	gate := make(chan struct{})
-	var perSeg [32]atomic.Uint64
-	fetch := func(_ media.Clip, seg int32, _ vtime.Time) error {
-		perSeg[seg].Add(1)
-		<-gate
-		return nil
-	}
-	pool, err := New(Config{
-		Policy: "greedydual", Repo: repo, Capacity: repo.TotalSize(),
-		Seed: 7, Shards: 4, SegmentSize: testSegSize, SegmentFetch: fetch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(G)
-	for g := 0; g < G; g++ {
-		go func() {
-			defer wg.Done()
-			res, err := pool.RequestRange(clip.ID, 0, media.GB)
-			if err != nil {
-				t.Errorf("RequestRange: %v", err)
-				return
-			}
-			if res.BytesHit+res.BytesFetched != media.GB {
+	for _, tc := range []struct {
+		name    string
+		bytes   media.Bytes
+		request func(*Pool) error
+	}{
+		{"range", media.GB, func(p *Pool) error {
+			res, err := p.RequestRange(clip.ID, 0, media.GB)
+			if err == nil && res.BytesHit+res.BytesFetched != media.GB {
 				t.Errorf("delivered %v hit + %v fetched, want %v total",
 					res.BytesHit, res.BytesFetched, media.GB)
 			}
-		}()
-	}
-	// All G requests miss the same reqSegs segments. Wait until each segment
-	// has its flight leader parked on the gate and every other requester has
-	// joined (coalesced increments at join time), then release the leaders.
-	deadline := time.Now().Add(5 * time.Second)
-	wantJoins := uint64((G - 1) * reqSegs)
-	for pool.Coalesced() < wantJoins {
-		if time.Now().After(deadline) {
-			t.Fatalf("coalesced %d after 5s, want %d", pool.Coalesced(), wantJoins)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
+			return err
+		}},
+		{"whole-clip", clip.Size, func(p *Pool) error {
+			out, err := p.Request(clip.ID)
+			if err == nil && out != core.MissCached && out != core.Hit {
+				t.Errorf("Request outcome = %v", out)
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reqSegs := int((tc.bytes + testSegSize - 1) / testSegSize)
 
-	for seg := 0; seg < reqSegs; seg++ {
-		if n := perSeg[seg].Load(); n != 1 {
-			t.Errorf("segment %d fetched %d times, want 1", seg, n)
-		}
-	}
-	if got := pool.Fetches(); got != uint64(reqSegs) {
-		t.Errorf("logical fetches = %d, want %d", got, reqSegs)
-	}
-	if got := pool.Coalesced(); got != wantJoins {
-		t.Errorf("coalesced = %d, want %d", got, wantJoins)
-	}
-	if got := pool.ResidentBytes(clip.ID); got != media.GB {
-		t.Errorf("resident bytes = %v, want %v", got, media.GB)
+			gate := make(chan struct{})
+			var perSeg [32]atomic.Uint64
+			fetch := func(_ media.Clip, seg int32, _ vtime.Time) error {
+				perSeg[seg].Add(1)
+				<-gate
+				return nil
+			}
+			pool, err := New(Config{
+				Policy: "greedydual", Repo: repo, Capacity: repo.TotalSize(),
+				Seed: 7, Shards: 4, SegmentSize: testSegSize, SegmentFetch: fetch,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var wg sync.WaitGroup
+			wg.Add(G)
+			for g := 0; g < G; g++ {
+				go func() {
+					defer wg.Done()
+					if err := tc.request(pool); err != nil {
+						t.Errorf("request: %v", err)
+					}
+				}()
+			}
+			// All G requests miss the same reqSegs segments. Wait until each
+			// segment has its flight leader parked on the gate and every other
+			// requester has joined (coalesced increments at join time), then
+			// release the leaders.
+			deadline := time.Now().Add(5 * time.Second)
+			wantJoins := uint64((G - 1) * reqSegs)
+			for pool.Coalesced() < wantJoins {
+				if time.Now().After(deadline) {
+					t.Fatalf("coalesced %d after 5s, want %d", pool.Coalesced(), wantJoins)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(gate)
+			wg.Wait()
+
+			for seg := 0; seg < reqSegs; seg++ {
+				if n := perSeg[seg].Load(); n != 1 {
+					t.Errorf("segment %d fetched %d times, want 1", seg, n)
+				}
+			}
+			if got := pool.Fetches(); got != uint64(reqSegs) {
+				t.Errorf("logical fetches = %d, want %d", got, reqSegs)
+			}
+			if got := pool.Coalesced(); got != wantJoins {
+				t.Errorf("coalesced = %d, want %d", got, wantJoins)
+			}
+			if got := pool.ResidentBytes(clip.ID); got != tc.bytes {
+				t.Errorf("resident bytes = %v, want %v", got, tc.bytes)
+			}
+		})
 	}
 }
 
@@ -277,26 +299,45 @@ func TestSegmentedPoolSnapshotRestore(t *testing.T) {
 
 // TestSegmentedPoolWholeClipFetchFallback checks a segmented pool built with
 // only the whole-clip Fetch hook still fetches per missing segment through
-// the adapter (one link consultation per segment).
+// the adapter — one link consultation per segment, each counted as a
+// logical fetch — for a byte range and for a whole-clip Request alike.
 func TestSegmentedPoolWholeClipFetchFallback(t *testing.T) {
 	repo := media.PaperRepository()
-	var calls atomic.Uint64
-	fetch := func(media.Clip, vtime.Time) error { calls.Add(1); return nil }
-	pool, err := New(Config{
-		Policy: "greedydual", Repo: repo, Capacity: repo.TotalSize(),
-		Seed: 7, Shards: 2, SegmentSize: testSegSize, Fetch: fetch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pool.RequestRange(3, 0, media.GB) // 1.8 GB clip: 4 cold segments
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != core.MissCached {
-		t.Fatalf("outcome = %v", res.Outcome)
-	}
-	if calls.Load() != 4 {
-		t.Errorf("link consulted %d times, want 4 (one per segment)", calls.Load())
+	for _, tc := range []struct {
+		name    string
+		request func(*Pool) (core.Outcome, error)
+	}{
+		{"range", func(p *Pool) (core.Outcome, error) { // 1.8 GB clip: first GB is 4 cold segments
+			res, err := p.RequestRange(3, 0, media.GB)
+			return res.Outcome, err
+		}},
+		{"whole-clip", func(p *Pool) (core.Outcome, error) { // 0.9 GB clip: 4 segments
+			return p.Request(5)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Uint64
+			fetch := func(media.Clip, vtime.Time) error { calls.Add(1); return nil }
+			pool, err := New(Config{
+				Policy: "greedydual", Repo: repo, Capacity: repo.TotalSize(),
+				Seed: 7, Shards: 2, SegmentSize: testSegSize, Fetch: fetch,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := tc.request(pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != core.MissCached {
+				t.Fatalf("outcome = %v", out)
+			}
+			if calls.Load() != 4 {
+				t.Errorf("link consulted %d times, want 4 (one per segment)", calls.Load())
+			}
+			if got := pool.Fetches(); got != 4 {
+				t.Errorf("Fetches() = %d, want 4", got)
+			}
+		})
 	}
 }

@@ -5,13 +5,18 @@
 // replacement-policy instance, its own mutex and its own slice of the total
 // capacity — and routes every request to the shard that owns its clip ID.
 //
-// Requests for clips on different shards proceed in parallel. Concurrent
-// misses for the same clip are coalesced: one goroutine performs the fetch
-// through the pool's core.WithFetch seam (so a fault injector is consulted
-// once per logical fetch) while the rest wait and share its result. A
-// failed shared fetch degrades every coalesced request — each counts one
-// Stats.FetchFailed, mirroring what N independent failed fetches would have
-// reported, while the flaky link was exercised only once.
+// Requests for clips on different shards proceed in parallel. Every request
+// form — Request, RequestRange, RequestBatch — takes the same staged path
+// (staged.go): probe under the shard lock for the segments the engine would
+// fetch, fetch them outside the lock, apply under the lock with the results
+// handed to the engine's fetch hook. Concurrent misses for the same
+// (clip, segment) are coalesced: one goroutine consults the configured
+// link (so a fault injector is consulted once per logical fetch) while the
+// rest wait and share its result. A failed shared fetch degrades every
+// coalesced request — each counts one Stats.FetchFailed, mirroring what N
+// independent failed fetches would have reported, while the flaky link was
+// exercised only once. An unsegmented pool is the case of one segment per
+// clip.
 //
 // A pool with exactly one shard is byte-for-byte equivalent to a single
 // core.Cache built from the same seed and policy spec: the shard uses the
@@ -89,22 +94,18 @@ type Config struct {
 	ShardOptions func(shard int) []core.Option
 }
 
-// poolShard is one partition: an engine, its lock, and the slots where
-// coalesced fetch results are handed to the engine's fetch hooks.
+// poolShard is one partition: an engine, its lock, and the slot where
+// fetch results are handed to the engine's fetch hook.
 type poolShard struct {
 	mu    sync.Mutex
 	cache *core.Cache
-	// pre carries the outcome of an already-performed coalesced fetch into
-	// the engine's fetch hook during the next Request call. Guarded by mu
-	// and cleared before the lock is released.
-	pre preFetch
-	// preSegs carries per-segment coalesced fetch results into the engine's
-	// segment fetch hook during the next RequestRange call. Guarded by mu
-	// and cleared before the lock is released.
-	preSegs preSegFetch
-	// missBuf is the shard's reusable probe buffer for missing-segment
-	// scans under mu.
-	missBuf []int32
+	// staged is the staging slot of the request path (staged.go): the probe
+	// collects the keys to fetch in it, and the apply step parks the
+	// settled results in it, sorted by key, for the engine's fetch hook.
+	// Guarded by mu and emptied before the lock is released.
+	staged []fetched
+	// plan is the reusable buffer for the engine's per-item fetch plan.
+	plan []int32
 
 	// mirror is the engine's published residency view. On unsegmented
 	// pools the read-mostly hit path consults it without taking mu; the
@@ -129,30 +130,17 @@ type poolShard struct {
 	pending atomic.Int64
 }
 
-// preFetch is a pre-resolved fetch result.
-type preFetch struct {
-	id  media.ClipID
-	err error
-	ok  bool
-}
-
-// preSegFetch is a batch of pre-resolved per-segment fetch results for one
-// clip.
-type preSegFetch struct {
-	id   media.ClipID
-	errs map[int32]error
-	ok   bool
-}
-
 // Pool routes requests across hash-partitioned cache shards. All methods
 // are safe for concurrent use.
 type Pool struct {
-	repo     *media.Repository
-	fetch    core.FetchFunc
-	segFetch core.SegmentFetchFunc
-	segSize  media.Bytes
-	shards   []*poolShard
-	flight   flightGroup
+	repo *media.Repository
+	// link retrieves one segment of a clip from the remote repository —
+	// Config.SegmentFetch, or Config.Fetch consulted once per segment. Nil
+	// means every fetch succeeds instantly.
+	link    core.SegmentFetchFunc
+	segSize media.Bytes
+	shards  []*poolShard
+	flight  flightGroup
 
 	// fastPath enables the lock-reduced hit path: pure hits are served off
 	// each shard's published residency mirror and only enqueue a policy
@@ -199,18 +187,17 @@ func New(cfg Config) (*Pool, error) {
 	}
 	p := &Pool{
 		repo:     cfg.Repo,
-		fetch:    cfg.Fetch,
 		segSize:  cfg.SegmentSize,
-		segFetch: cfg.SegmentFetch,
+		link:     cfg.SegmentFetch,
 		shards:   make([]*poolShard, n),
 		fastPath: cfg.SegmentSize == 0,
 		ttl:      cfg.TTL,
 	}
-	if p.segSize > 0 && p.segFetch == nil && p.fetch != nil {
-		// Adapt the whole-clip fetch: each missing segment is its own
-		// network transfer through the same (possibly faulty) link.
-		p.segFetch = func(clip media.Clip, _ int32, now vtime.Time) error {
-			return p.fetch(clip, now)
+	if p.link == nil && cfg.Fetch != nil {
+		// Each segment is its own network transfer through the same
+		// (possibly faulty) link; an unsegmented clip is one segment.
+		p.link = func(clip media.Clip, _ int32, now vtime.Time) error {
+			return cfg.Fetch(clip, now)
 		}
 	}
 	p.flight.init()
@@ -254,11 +241,17 @@ func New(cfg Config) (*Pool, error) {
 		if cfg.TTL > 0 {
 			opts = append(opts, core.WithTTL(cfg.TTL))
 		}
-		switch {
-		case p.segFetch != nil:
-			opts = append(opts, core.WithSegmentFetch(p.shardSegFetch(s)))
-		case cfg.Fetch != nil:
-			opts = append(opts, core.WithFetch(p.shardFetch(s)))
+		if p.link != nil {
+			// One hook either way; the engine's whole-clip fetch seam is
+			// its segment seam asked for segment 0.
+			hook := p.stagedHook(s)
+			if cfg.SegmentSize > 0 {
+				opts = append(opts, core.WithSegmentFetch(hook))
+			} else {
+				opts = append(opts, core.WithFetch(func(clip media.Clip, now vtime.Time) error {
+					return hook(clip, 0, now)
+				}))
+			}
 		}
 		cache, err := core.New(cfg.Repo, capacity, pol, opts...)
 		if err != nil {
@@ -268,38 +261,6 @@ func New(cfg Config) (*Pool, error) {
 		p.shards[i] = s
 	}
 	return p, nil
-}
-
-// shardFetch builds the engine fetch hook for one shard: it consumes a
-// pre-resolved coalesced result when Request staged one, and falls through
-// to the configured fetch otherwise (e.g. a Warm-triggered code path that
-// never staged a flight).
-func (p *Pool) shardFetch(s *poolShard) core.FetchFunc {
-	return func(clip media.Clip, now vtime.Time) error {
-		if s.pre.ok && s.pre.id == clip.ID {
-			err := s.pre.err
-			s.pre = preFetch{}
-			return err
-		}
-		return p.fetch(clip, now)
-	}
-}
-
-// shardSegFetch builds the engine's per-segment fetch hook for one shard: it
-// consumes the pre-resolved coalesced result RequestRange staged for that
-// segment, and falls through to a direct fetch for segments the engine asks
-// for that were not staged (a segment evicted between the probe and the
-// request, or a whole-clip Request on a segmented cache).
-func (p *Pool) shardSegFetch(s *poolShard) core.SegmentFetchFunc {
-	return func(clip media.Clip, seg int32, now vtime.Time) error {
-		if s.preSegs.ok && s.preSegs.id == clip.ID {
-			if err, staged := s.preSegs.errs[seg]; staged {
-				delete(s.preSegs.errs, seg)
-				return err
-			}
-		}
-		return p.segFetch(clip, seg, now)
-	}
 }
 
 // fastHitOK reports whether the lock-free hit path may serve clip id from
@@ -340,15 +301,10 @@ func (p *Pool) Invalidate(id media.ClipID) media.Bytes {
 // SweepExpired immediately expires every overdue clip on every shard and
 // returns the total dropped. A no-op returning zero when TTL is off.
 func (p *Pool) SweepExpired() int {
-	if p.ttl == 0 {
-		return 0
-	}
 	var sum int
-	p.lockAllDrained()
-	for _, s := range p.shards {
-		sum += s.cache.SweepExpired()
+	if p.ttl > 0 {
+		p.eachDrained(func(_ int, c *core.Cache) { sum += c.SweepExpired() })
 	}
-	p.unlockAll()
 	return sum
 }
 
@@ -413,145 +369,44 @@ func (p *Pool) Coalesced() uint64 { return p.flight.coalesced.Load() }
 // Request services a reference to clip id on the owning shard and returns
 // the outcome, exactly as core.Cache.Request does on an unsharded cache.
 //
-// Without a fetch hook the request runs entirely under the shard lock.
-// With one, a miss releases the lock for the duration of the (possibly
-// shared) fetch so slow fetches never serialize the shard, then re-locks
-// and hands the result to the engine. A clip that became resident while
-// the fetch was in flight is simply a hit — the fetched bytes are the same
-// bytes a waiter would have received.
+// A clip in the shard's published residency view is a hit served without
+// the engine lock (readpath.go). Anything else takes the staged path: with
+// a fetch hook configured, a miss releases the lock for the duration of the
+// (possibly shared) fetch so slow fetches never serialize the shard, then
+// re-locks and hands the result to the engine. A clip that became resident
+// while the fetch was in flight is simply a hit — the fetched bytes are the
+// same bytes a waiter would have received.
 func (p *Pool) Request(id media.ClipID) (core.Outcome, error) {
 	s := p.shards[p.ShardFor(id)]
-	// Read-mostly fast path: a clip in the shard's published residency view
-	// is a hit. The bytes stream without the engine lock; only the policy
-	// touch is enqueued, to be replayed in a batch under one acquisition.
 	if p.fastPath && p.fastHitOK(s, id, 0) {
 		p.recordTouch(s, id)
 		return core.Hit, nil
 	}
-	if p.fetch == nil {
-		p.lockDrained(s)
-		defer s.mu.Unlock()
-		return s.cache.Request(id)
-	}
-	p.lockDrained(s)
-	clip, known := p.repo.Lookup(id)
-	// Requests that cannot reach the engine's fetch path — hits, unknown
-	// clips, and clips the shard could never admit — run under the lock
-	// without staging a flight.
-	if !known || s.cache.Resident(id) || clip.Size > s.cache.Capacity() {
-		out, err := s.cache.Request(id)
-		s.mu.Unlock()
-		return out, err
-	}
-	// The engine stamps the fetch with the request's tick; the best
-	// estimate before re-locking is the next tick of this shard's clock.
-	now := s.cache.Now() + 1
-	s.mu.Unlock()
-
-	ferr := p.flight.do(flightKey{id: id, seg: wholeClip}, func() error {
-		p.fetches.Add(1)
-		return p.fetch(clip, now)
-	})
-
-	p.lockDrained(s)
-	s.pre = preFetch{id: id, err: ferr, ok: true}
-	out, err := s.cache.Request(id)
-	s.pre = preFetch{}
-	s.mu.Unlock()
-	return out, err
+	item := [1]BatchItem{{ID: id}}
+	var out [1]BatchResult
+	p.serve(s, item[:], nil, out[:])
+	return out[0].Outcome, out[0].Err
 }
 
 // RequestRange services a reference to bytes [start, start+length) of clip
 // id on the owning shard, exactly as core.Cache.RequestRange does on an
 // unsharded cache. A negative length means "to the end of the clip".
 //
-// On a segmented pool with a fetch hook, the missing segments of the range
-// are probed under the shard lock, fetched outside it — one singleflight per
-// (clip, segment), so concurrent requests for overlapping ranges share the
-// transfer of every segment they both miss while disjoint ranges proceed in
-// parallel — and the results are handed to the engine under the lock.
+// The range's missing segments are fetched one flight per (clip, segment),
+// so concurrent requests for overlapping ranges share the transfer of every
+// segment they both miss while disjoint ranges proceed in parallel.
 func (p *Pool) RequestRange(id media.ClipID, start, length media.Bytes) (core.RangeResult, error) {
-	s := p.shards[p.ShardFor(id)]
-	if p.segFetch == nil || p.segSize == 0 {
-		// No per-segment fetching: the engine resolves the range entirely
-		// under the lock (unsegmented pools delegate to Request inside).
-		p.lockDrained(s)
-		defer s.mu.Unlock()
-		return s.cache.RequestRange(id, start, length)
-	}
-	s.mu.Lock()
-	clip, known := p.repo.Lookup(id)
-	if !known || start < 0 || start >= clip.Size || clip.Size > s.cache.Capacity() {
-		// Errors and too-large clips never reach the engine's fetch path.
-		res, err := s.cache.RequestRange(id, start, length)
-		s.mu.Unlock()
-		return res, err
-	}
-	if length < 0 || start+length > clip.Size {
-		length = clip.Size - start
-	}
-	s.missBuf = s.cache.AppendFetchPlan(s.missBuf[:0], id, start, length, s.cache.Now()+1)
-	if len(s.missBuf) == 0 {
-		// Fully resident range: a pure hit under the lock.
-		res, err := s.cache.RequestRange(id, start, length)
-		s.mu.Unlock()
-		return res, err
-	}
-	missing := append([]int32(nil), s.missBuf...)
-	// The engine stamps the fetches with the request's tick; the best
-	// estimate before re-locking is the next tick of this shard's clock.
-	now := s.cache.Now() + 1
-	s.mu.Unlock()
-
-	errs := make(map[int32]error, len(missing))
-	if len(missing) == 1 {
-		seg := missing[0]
-		errs[seg] = p.flight.do(flightKey{id: id, seg: seg}, func() error {
-			p.fetches.Add(1)
-			return p.segFetch(clip, seg, now)
-		})
-	} else {
-		// Fetch the range's missing segments concurrently; each joins or
-		// leads its own flight.
-		var (
-			wg sync.WaitGroup
-			mu sync.Mutex
-		)
-		wg.Add(len(missing))
-		for _, seg := range missing {
-			go func(seg int32) {
-				defer wg.Done()
-				err := p.flight.do(flightKey{id: id, seg: seg}, func() error {
-					p.fetches.Add(1)
-					return p.segFetch(clip, seg, now)
-				})
-				mu.Lock()
-				errs[seg] = err
-				mu.Unlock()
-			}(seg)
-		}
-		wg.Wait()
-	}
-
-	s.mu.Lock()
-	s.preSegs = preSegFetch{id: id, errs: errs, ok: true}
-	res, err := s.cache.RequestRange(id, start, length)
-	s.preSegs = preSegFetch{}
-	s.mu.Unlock()
-	return res, err
+	item := [1]BatchItem{{ID: id, Ranged: true, Start: start, Length: length}}
+	var out [1]BatchResult
+	p.serve(p.shards[p.ShardFor(id)], item[:], nil, out[:])
+	return out[0].Range, out[0].Err
 }
 
 // Stats returns the pool-wide statistics: every shard's counters summed
-// under a consistent snapshot (all shard locks are held while reading, in
-// index order; Request never holds more than one shard lock, so no
-// ordering deadlock is possible).
+// under one consistent snapshot.
 func (p *Pool) Stats() core.Stats {
 	var sum core.Stats
-	p.lockAllDrained()
-	for _, s := range p.shards {
-		sum = sum.Add(s.cache.Stats())
-	}
-	p.unlockAll()
+	p.eachDrained(func(_ int, c *core.Cache) { sum = sum.Add(c.Stats()) })
 	return sum
 }
 
@@ -571,15 +426,16 @@ type ShardStat struct {
 	Capacity  media.Bytes
 }
 
-// statOf reads one shard's ShardStat; the caller holds the shard lock.
-func statOf(i int, s *poolShard) ShardStat {
+// statOf reads shard i's ShardStat off its engine; the caller holds the
+// shard lock.
+func statOf(i int, c *core.Cache) ShardStat {
 	return ShardStat{
 		Index:            i,
-		Stats:            s.cache.Stats(),
-		NumResident:      s.cache.NumResident(),
-		ResidentSegments: s.cache.ResidentSegments(),
-		UsedBytes:        s.cache.UsedBytes(),
-		Capacity:         s.cache.Capacity(),
+		Stats:            c.Stats(),
+		NumResident:      c.NumResident(),
+		ResidentSegments: c.ResidentSegments(),
+		UsedBytes:        c.UsedBytes(),
+		Capacity:         c.Capacity(),
 	}
 }
 
@@ -589,18 +445,14 @@ func (p *Pool) ShardStat(i int) ShardStat {
 	s := p.shards[i]
 	p.lockDrained(s)
 	defer s.mu.Unlock()
-	return statOf(i, s)
+	return statOf(i, s.cache)
 }
 
 // ShardStats returns every shard's statistics and occupancy under one
 // consistent snapshot, in shard-index order.
 func (p *Pool) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(p.shards))
-	p.lockAllDrained()
-	for i, s := range p.shards {
-		out[i] = statOf(i, s)
-	}
-	p.unlockAll()
+	p.eachDrained(func(i int, c *core.Cache) { out[i] = statOf(i, c) })
 	return out
 }
 
@@ -616,11 +468,7 @@ func (p *Pool) PrefixSegments() int {
 // shards; zero on unsegmented pools.
 func (p *Pool) ResidentSegments() int {
 	var sum int
-	p.lockAllDrained()
-	for _, s := range p.shards {
-		sum += s.cache.ResidentSegments()
-	}
-	p.unlockAll()
+	p.eachDrained(func(_ int, c *core.Cache) { sum += c.ResidentSegments() })
 	return sum
 }
 
@@ -642,20 +490,6 @@ func (p *Pool) ResidentExtentsOf(id media.ClipID) []core.Extent {
 	return s.cache.ResidentExtentsOf(id)
 }
 
-// lockAll acquires every shard lock in index order.
-func (p *Pool) lockAll() {
-	for _, s := range p.shards {
-		s.mu.Lock()
-	}
-}
-
-// unlockAll releases every shard lock.
-func (p *Pool) unlockAll() {
-	for _, s := range p.shards {
-		s.mu.Unlock()
-	}
-}
-
 // Capacity returns the total capacity S_T across all shards.
 func (p *Pool) Capacity() media.Bytes {
 	var sum media.Bytes
@@ -668,33 +502,21 @@ func (p *Pool) Capacity() media.Bytes {
 // UsedBytes returns the bytes occupied across all shards.
 func (p *Pool) UsedBytes() media.Bytes {
 	var sum media.Bytes
-	p.lockAllDrained()
-	for _, s := range p.shards {
-		sum += s.cache.UsedBytes()
-	}
-	p.unlockAll()
+	p.eachDrained(func(_ int, c *core.Cache) { sum += c.UsedBytes() })
 	return sum
 }
 
 // FreeBytes returns the unused capacity across all shards.
 func (p *Pool) FreeBytes() media.Bytes {
 	var sum media.Bytes
-	p.lockAllDrained()
-	for _, s := range p.shards {
-		sum += s.cache.FreeBytes()
-	}
-	p.unlockAll()
+	p.eachDrained(func(_ int, c *core.Cache) { sum += c.FreeBytes() })
 	return sum
 }
 
 // NumResident returns the number of clips cached across all shards.
 func (p *Pool) NumResident() int {
 	var sum int
-	p.lockAllDrained()
-	for _, s := range p.shards {
-		sum += s.cache.NumResident()
-	}
-	p.unlockAll()
+	p.eachDrained(func(_ int, c *core.Cache) { sum += c.NumResident() })
 	return sum
 }
 
@@ -702,15 +524,7 @@ func (p *Pool) NumResident() int {
 // ID) under a consistent all-shards lock.
 func (p *Pool) residentsSnapshot() [][]media.Clip {
 	per := make([][]media.Clip, len(p.shards))
-	p.lockAllDrained()
-	for i, s := range p.shards {
-		clips := make([]media.Clip, 0, s.cache.NumResident())
-		for c := range s.cache.Residents() {
-			clips = append(clips, c)
-		}
-		per[i] = clips
-	}
-	p.unlockAll()
+	p.eachDrained(func(i int, c *core.Cache) { per[i] = core.CollectResidents(c) })
 	return per
 }
 
@@ -765,18 +579,16 @@ func (p *Pool) Residency() ([]ClipResidency, media.Bytes) {
 		all  []ClipResidency
 		used media.Bytes
 	)
-	p.lockAllDrained()
-	for _, s := range p.shards {
-		used += s.cache.UsedBytes()
-		for c := range s.cache.Residents() {
+	p.eachDrained(func(_ int, c *core.Cache) {
+		used += c.UsedBytes()
+		for clip := range c.Residents() {
 			all = append(all, ClipResidency{
-				Clip:    c,
-				Bytes:   s.cache.ResidentBytes(c.ID),
-				Extents: s.cache.ResidentExtentsOf(c.ID),
+				Clip:    clip,
+				Bytes:   c.ResidentBytes(clip.ID),
+				Extents: c.ResidentExtentsOf(clip.ID),
 			})
 		}
-	}
-	p.unlockAll()
+	})
 	sort.Slice(all, func(i, j int) bool { return all[i].Clip.ID < all[j].Clip.ID })
 	return all, used
 }
@@ -802,11 +614,7 @@ func (p *Pool) ResidentIDs() []media.ClipID {
 func (p *Pool) Reset() {
 	// Pending touches belong to the pre-reset epoch: replay them into the
 	// old state first so they cannot leak into the fresh counters.
-	p.lockAllDrained()
-	for _, s := range p.shards {
-		s.cache.Reset()
-	}
-	p.unlockAll()
+	p.eachDrained(func(_ int, c *core.Cache) { c.Reset() })
 }
 
 // Snapshot captures the pool's persistent state as one core.Snapshot: the
@@ -816,11 +624,7 @@ func (p *Pool) Reset() {
 // produces exactly the snapshot its underlying cache would.
 func (p *Pool) Snapshot() core.Snapshot {
 	subs := make([]core.Snapshot, len(p.shards))
-	p.lockAllDrained()
-	for i, s := range p.shards {
-		subs[i] = s.cache.Snapshot()
-	}
-	p.unlockAll()
+	p.eachDrained(func(i int, c *core.Cache) { subs[i] = c.Snapshot() })
 	var (
 		stats   core.Stats
 		clock   vtime.Time
@@ -860,66 +664,13 @@ func (p *Pool) Snapshot() core.Snapshot {
 // statistics are assigned to shard 0 and every shard's clock starts at the
 // snapshot clock.
 func (p *Pool) Restore(snap core.Snapshot) error {
-	if snap.Clock < 0 {
-		return fmt.Errorf("shard: snapshot clock %d is negative", snap.Clock)
-	}
-	// Granularity compatibility mirrors core.Cache.Restore: an exact
-	// segment-size match, or a pre-segment whole-clip snapshot adopted into
-	// a segmented pool.
-	switch {
-	case snap.SegmentSize == p.segSize:
-	case snap.SegmentSize == 0 && len(snap.Partial) == 0 && p.segSize > 0:
-	default:
-		return fmt.Errorf("shard: snapshot segment size %v does not match pool segment size %v",
-			snap.SegmentSize, p.segSize)
-	}
-	parts := make([][]media.ClipID, len(p.shards))
-	partsPartial := make([][]core.ClipSegments, len(p.shards))
+	// core validates everything about the snapshot except capacity, which
+	// here is per shard: sum each clip's resident bytes onto its owner.
 	sizes := make([]media.Bytes, len(p.shards))
-	seen := make(map[media.ClipID]struct{}, len(snap.ResidentIDs)+len(snap.Partial))
-	for _, id := range snap.ResidentIDs {
-		clip, ok := p.repo.Lookup(id)
-		if !ok {
-			return fmt.Errorf("shard: snapshot references unknown clip %d", id)
-		}
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("shard: snapshot lists clip %d twice", id)
-		}
-		seen[id] = struct{}{}
-		i := p.ShardFor(id)
-		parts[i] = append(parts[i], id)
-		sizes[i] += clip.Size
-	}
-	for _, cs := range snap.Partial {
-		clip, ok := p.repo.Lookup(cs.ID)
-		if !ok {
-			return fmt.Errorf("shard: snapshot references unknown clip %d", cs.ID)
-		}
-		if _, dup := seen[cs.ID]; dup {
-			return fmt.Errorf("shard: snapshot lists clip %d twice", cs.ID)
-		}
-		seen[cs.ID] = struct{}{}
-		if len(cs.Segments) == 0 {
-			return fmt.Errorf("shard: snapshot partial clip %d has no segments", cs.ID)
-		}
-		nSegs := int32((clip.Size + p.segSize - 1) / p.segSize)
-		i := p.ShardFor(cs.ID)
-		prev := int32(-1)
-		for _, seg := range cs.Segments {
-			if seg < 0 || seg >= nSegs {
-				return fmt.Errorf("shard: snapshot partial clip %d lists segment %d outside [0, %d)", cs.ID, seg, nSegs)
-			}
-			if seg <= prev {
-				return fmt.Errorf("shard: snapshot partial clip %d segments are not strictly ascending", cs.ID)
-			}
-			prev = seg
-			if rest := clip.Size - media.Bytes(seg)*p.segSize; rest < p.segSize {
-				sizes[i] += rest
-			} else {
-				sizes[i] += p.segSize
-			}
-		}
-		partsPartial[i] = append(partsPartial[i], cs)
+	if err := snap.Validate(p.repo, p.segSize, func(id media.ClipID, resident media.Bytes) {
+		sizes[p.ShardFor(id)] += resident
+	}); err != nil {
+		return err
 	}
 	for i, s := range p.shards {
 		if sizes[i] > s.cache.Capacity() {
@@ -927,36 +678,29 @@ func (p *Pool) Restore(snap core.Snapshot) error {
 				sizes[i], i, s.cache.Capacity())
 		}
 	}
-	partsTTL := make([][]core.ClipTTL, len(p.shards))
-	ttlSeen := make(map[media.ClipID]struct{}, len(snap.TTLRemaining))
+	subs := make([]core.Snapshot, len(p.shards))
+	for i := range subs {
+		subs[i].SegmentSize, subs[i].Clock = snap.SegmentSize, snap.Clock
+	}
+	subs[0].Stats = snap.Stats
+	for _, id := range snap.ResidentIDs {
+		sub := &subs[p.ShardFor(id)]
+		sub.ResidentIDs = append(sub.ResidentIDs, id)
+	}
+	for _, cs := range snap.Partial {
+		sub := &subs[p.ShardFor(cs.ID)]
+		sub.Partial = append(sub.Partial, cs)
+	}
 	for _, ct := range snap.TTLRemaining {
-		if _, resident := seen[ct.ID]; !resident {
-			return fmt.Errorf("shard: snapshot carries a TTL for non-resident clip %d", ct.ID)
-		}
-		if _, dup := ttlSeen[ct.ID]; dup {
-			return fmt.Errorf("shard: snapshot lists clip %d's TTL twice", ct.ID)
-		}
-		ttlSeen[ct.ID] = struct{}{}
-		i := p.ShardFor(ct.ID)
-		partsTTL[i] = append(partsTTL[i], ct)
+		sub := &subs[p.ShardFor(ct.ID)]
+		sub.TTLRemaining = append(sub.TTLRemaining, ct)
 	}
-	p.lockAllDrained()
-	defer p.unlockAll()
-	for i, s := range p.shards {
-		sub := core.Snapshot{
-			ResidentIDs:  parts[i],
-			Partial:      partsPartial[i],
-			SegmentSize:  snap.SegmentSize,
-			Clock:        snap.Clock,
-			TTLRemaining: partsTTL[i],
-		}
-		if i == 0 {
-			sub.Stats = snap.Stats
-		}
-		if err := s.cache.Restore(sub); err != nil {
+	var err error
+	p.eachDrained(func(i int, c *core.Cache) {
+		if rerr := c.Restore(subs[i]); rerr != nil && err == nil {
 			// Unreachable after the validation above; surface it anyway.
-			return fmt.Errorf("shard %d: %w", i, err)
+			err = fmt.Errorf("shard %d: %w", i, rerr)
 		}
-	}
-	return nil
+	})
+	return err
 }

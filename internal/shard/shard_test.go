@@ -526,7 +526,7 @@ func TestFlightSequentialNotShared(t *testing.T) {
 	g.init()
 	calls := 0
 	for i := 0; i < 3; i++ {
-		if err := g.do(flightKey{id: 1, seg: wholeClip}, func() error { calls++; return nil }); err != nil {
+		if err := g.do(flightKey{id: 1}, func() error { calls++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
