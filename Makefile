@@ -7,10 +7,10 @@ BENCH_DATE := $(shell date +%Y-%m-%d)
 # -fuzz pattern per invocation, so targets run sequentially.
 FUZZTIME ?= 10s
 
-# run-matched runs `go test -run $(1)` over the packages $(2), after checking
-# with `go test -list` that the pattern names at least $(3) tests (default 1)
-# in every one of them: a gate must fail, not shrink, when a test it selects
-# by regex is renamed.
+# run-matched runs `go test $(4) -run $(1)` over the packages $(2), after
+# checking with `go test -list` that the pattern names at least $(3) tests
+# (default 1) in every one of them: a gate must fail, not shrink, when a test
+# it selects by regex is renamed. $(4) is optional extra flags (-race).
 define run-matched
 	@for pkg in $(2); do \
 		n=$$($(GO) test -list $(1) $$pkg | grep -c '^Test'); \
@@ -18,7 +18,7 @@ define run-matched
 			echo "$@: pattern matches $$n tests in $$pkg, want at least $(or $(3),1)" >&2; exit 1; \
 		fi; \
 	done
-	$(GO) test -run $(1) -count=1 $(2)
+	$(GO) test $(4) -run $(1) -count=1 $(2)
 endef
 
 build:
@@ -75,9 +75,8 @@ churncheck:
 # across shard counts, the cooperative in-process model's fault accounting,
 # and the multi-node chaos drive (node loss + partition + slow peers).
 clustercheck:
-	$(GO) test -race -run 'Cluster|Ring|Digest|Hedge|RetryAfter|Rebalance|Coop|UnionCoverage|PartialPeer|Degraded' -count=1 \
-		./internal/cluster ./internal/cacheclient ./internal/shard \
-		./internal/coop ./cmd/cacheserver
+	$(call run-matched,'Cluster|Ring|Digest|Hedge|RetryAfter|Rebalance|Coop|UnionCoverage|PartialPeer|Degraded',./internal/cluster \
+		./internal/cacheclient ./internal/shard ./internal/coop ./cmd/cacheserver,,-race)
 
 # tracecheck runs the sessionized-analytics conformance surface (ISSUE 10):
 # the trace v2 schema round-trips and golden bytes, the Source-face
@@ -85,9 +84,8 @@ clustercheck:
 # the measure→model→replay loop — reqlog → traceql -fit → replay matching
 # the recorded per-session hit rate and inter-arrival percentiles.
 tracecheck:
-	$(GO) test -run 'Source|Trace|Session|Query|Report|Fit|ReqLog|ClientID|Golden' -count=1 \
-		./internal/workload ./internal/trace ./internal/sim \
-		./cmd/traceql ./cmd/tracegen ./cmd/loadgen ./cmd/cacheserver
+	$(call run-matched,'Source|Trace|Session|Query|Report|Fit|ReqLog|ClientID|Golden',./internal/workload ./internal/trace \
+		./internal/sim ./cmd/traceql ./cmd/tracegen ./cmd/loadgen ./cmd/cacheserver)
 
 # benchcheck vets and tests the repository benchmark. bench/ is a module of
 # its own (it replaces mediacache with this checkout), so `go build ./...`

@@ -375,8 +375,8 @@ func BenchmarkEvictionHeavy(b *testing.B) {
 	}
 }
 
-// BenchmarkIGDSelection compares the O(n)-scan IGD with the branch-and-
-// bound indexed implementation on a large synthetic repository.
+// BenchmarkIGDSelection measures IGD's O(n)-scan victim selection on a large
+// synthetic repository.
 func BenchmarkIGDSelection(b *testing.B) {
 	const nClips = 20004
 	repo, err := media.VariableRepository(nClips)
@@ -384,7 +384,11 @@ func BenchmarkIGDSelection(b *testing.B) {
 		b.Fatal(err)
 	}
 	dist := zipf.MustNew(repo.N(), zipf.DefaultMean)
-	run := func(b *testing.B, p core.Policy) {
+	b.Run("scan", func(b *testing.B) {
+		p, err := igd.New(repo.N(), 2, sim.DefaultSeed)
+		if err != nil {
+			b.Fatal(err)
+		}
 		cache, err := core.New(repo, repo.CacheSizeForRatio(0.05), p)
 		if err != nil {
 			b.Fatal(err)
@@ -401,20 +405,6 @@ func BenchmarkIGDSelection(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("scan", func(b *testing.B) {
-		p, err := igd.New(repo.N(), 2, sim.DefaultSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, p)
-	})
-	b.Run("indexed", func(b *testing.B) {
-		p, err := igd.New(repo.N(), 2, sim.DefaultSeed, igd.Indexed())
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, p)
 	})
 }
 

@@ -80,11 +80,6 @@
 // present), and each request is access-logged through log/slog. With -pprof
 // the net/http/pprof profiles mount under /debug/pprof/.
 //
-// The unversioned pre-v1 paths (/clips/{id}, /stats, ...) are retired:
-// they answer 410 Gone with the JSON error envelope and a Link header
-// naming the /v1 successor, after serving Deprecation headers for a full
-// release cycle.
-//
 // The failure and degradation layer (all off by default): -faults injects
 // a deterministic, seed-replayable fault schedule into the clip route
 // (errors → 502, stalls → 504 after the profile's hold, partial deliveries

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -167,25 +168,24 @@ func newServer(cfg config) (*server, error) {
 	routes := []struct {
 		pattern string
 		handler http.HandlerFunc
-		legacy  bool // also mount the retired unversioned alias (410 Gone)
 	}{
-		{"GET /clips/{id}", s.handleClip, true},
-		{"HEAD /clips/{id}", s.handleHeadClip, false},
-		{"DELETE /clips/{id}", s.handleDeleteClip, false},
-		{"POST /batch", s.handleBatch, false},
-		{"GET /stats", s.handleStats, true},
-		{"GET /resident", s.handleResident, true},
-		{"POST /reset", s.handleReset, true},
-		{"GET /snapshot", s.handleSnapshot, true},
-		{"POST /restore", s.handleRestore, true},
-		{"GET /policies", s.handlePolicies, true},
-		{"GET /shards", s.handleShards, false},
-		{"GET /metrics", s.handleMetrics, false},
-		{"GET /healthz", s.handleHealthz, false},
-		{"GET /version", s.handleVersion, false},
+		{"GET /clips/{id}", s.handleClip},
+		{"HEAD /clips/{id}", s.handleHeadClip},
+		{"DELETE /clips/{id}", s.handleDeleteClip},
+		{"POST /batch", s.handleBatch},
+		{"GET /stats", s.handleStats},
+		{"GET /resident", s.handleResident},
+		{"POST /reset", s.handleReset},
+		{"GET /snapshot", s.handleSnapshot},
+		{"POST /restore", s.handleRestore},
+		{"GET /policies", s.handlePolicies},
+		{"GET /shards", s.handleShards},
+		{"GET /metrics", s.handleMetrics},
+		{"GET /healthz", s.handleHealthz},
+		{"GET /version", s.handleVersion},
 	}
 	for _, rt := range routes {
-		method, path, _ := splitPattern(rt.pattern)
+		method, path, _ := strings.Cut(rt.pattern, " ")
 		v1 := method + " " + api.Version + path
 		handler := rt.handler
 		if s.chaos != nil && rt.pattern == "GET /clips/{id}" {
@@ -196,12 +196,6 @@ func newServer(cfg config) (*server, error) {
 			handler = s.chaos.wrap(handler)
 		}
 		s.mux.Handle(v1, s.instrument(v1, handler))
-		if rt.legacy {
-			// The pre-v1 alias is retired: answer 410 Gone with a pointer
-			// at the versioned successor instead of serving stale wire
-			// shapes forever.
-			s.mux.Handle(rt.pattern, gone(api.Version+path))
-		}
 	}
 	if cfg.cluster.nodeID != "" {
 		if err := s.initCluster(cfg.cluster); err != nil {
@@ -213,27 +207,6 @@ func newServer(cfg config) (*server, error) {
 	}
 	s.handler = withRequestID(withAccessLog(log, s.withHTTPMetrics(s.shed.wrap(withJSONErrors(s.mux)))))
 	return s, nil
-}
-
-// splitPattern separates a "METHOD /path" route pattern.
-func splitPattern(pattern string) (method, path string, ok bool) {
-	for i := 0; i < len(pattern); i++ {
-		if pattern[i] == ' ' {
-			return pattern[:i], pattern[i+1:], true
-		}
-	}
-	return "", pattern, false
-}
-
-// gone answers a retired pre-v1 alias path: 410 Gone in the uniform JSON
-// envelope, with a Link header (RFC 8288) naming the successor route so
-// stranded clients can self-migrate. The aliases served deprecation
-// headers for a full release cycle before retirement.
-func gone(successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		writeError(w, http.StatusGone, "unversioned path retired; use %s", successor)
-	}
 }
 
 // ServeHTTP implements http.Handler through the middleware chain:

@@ -84,57 +84,6 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasGone checks the retired unversioned paths answer 410 Gone
-// in the JSON envelope with a Link to the /v1 successor, and that the /v1
-// paths themselves are unaffected.
-func TestLegacyAliasGone(t *testing.T) {
-	_, ts := newTestServer(t)
-	for path, successor := range map[string]string{
-		"/stats":    "/v1/stats",
-		"/clips/2":  "/v1/clips/{id}",
-		"/resident": "/v1/resident",
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusGone {
-			t.Errorf("legacy %s status = %d, want 410", path, resp.StatusCode)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, successor) {
-			t.Errorf("legacy %s Link = %q, want successor %s", path, link, successor)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Errorf("legacy %s Content-Type = %q, want application/json", path, ct)
-		}
-		var envelope api.Error
-		if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-			t.Fatalf("legacy %s: 410 body is not the JSON envelope: %v", path, err)
-		}
-		resp.Body.Close()
-		if !strings.Contains(envelope.Error, "/v1/") {
-			t.Errorf("legacy %s error %q should name the successor", path, envelope.Error)
-		}
-	}
-	// The retired aliases must not count as cache traffic.
-	var st api.Stats
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Requests != 0 {
-		t.Errorf("legacy 410s reached the cache: %d requests", st.Requests)
-	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/v1/stats status = %d, want 200", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1/stats must not be marked deprecated")
-	}
-}
-
 // TestV1Policies checks the registry-backed discovery endpoint.
 func TestV1Policies(t *testing.T) {
 	_, ts := newTestServer(t)

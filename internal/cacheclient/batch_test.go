@@ -83,46 +83,3 @@ func TestGetBatchRetriesTransientFailures(t *testing.T) {
 		t.Fatalf("batch served %d times, want 1", h.batches.Load())
 	}
 }
-
-// preBatchHandler models a pre-batch server: /v1/batch is an unknown route.
-type preBatchHandler struct {
-	batchProbes atomic.Int64
-	singles     atomic.Int64
-}
-
-func (h *preBatchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost && r.URL.Path == "/v1/batch" {
-		h.batchProbes.Add(1)
-		w.WriteHeader(http.StatusNotFound)
-		return
-	}
-	h.singles.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(api.Clip{Clip: 1, Kind: "video", SizeBytes: 1024, Outcome: "hit", Hit: true})
-}
-
-func TestGetBatchFallsBackOnPreBatchServer(t *testing.T) {
-	h := &preBatchHandler{}
-	c := newFlakyClient(t, h, Config{})
-	ids := []media.ClipID{1, 2, 3}
-	for round := 0; round < 2; round++ {
-		res, err := c.GetBatch(context.Background(), ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != len(ids) {
-			t.Fatalf("round %d: got %d results, want %d", round, len(res), len(ids))
-		}
-		for i, r := range res {
-			if r.Status != http.StatusOK || !r.Hit {
-				t.Fatalf("round %d item %d: %+v", round, i, r)
-			}
-		}
-	}
-	if h.batchProbes.Load() != 1 {
-		t.Fatalf("missing route probed %d times, want once", h.batchProbes.Load())
-	}
-	if h.singles.Load() != int64(2*len(ids)) {
-		t.Fatalf("per-clip fallback served %d GETs, want %d", h.singles.Load(), 2*len(ids))
-	}
-}

@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mediacache/internal/api"
@@ -127,24 +126,7 @@ type Client struct {
 	src *randutil.Source // jitter stream; guarded by mu
 
 	retries uint64 // total retry sleeps, guarded by mu
-
-	// noBatch latches after the server 404s POST /v1/batch (a pre-batch
-	// deployment): later GetBatch calls go straight to per-clip GETs
-	// instead of re-probing the missing route on every batch.
-	noBatch atomic.Bool
-
-	// noDelete latches after the server 405s DELETE /v1/clips/{id} (a
-	// pre-churn deployment, whose method-patterned mux knows the path but
-	// not the method): later Delete calls fail fast with
-	// ErrDeleteUnsupported instead of re-probing.
-	noDelete atomic.Bool
 }
-
-// ErrDeleteUnsupported reports that the server predates catalog
-// invalidation (DELETE /v1/clips/{id} answers 405). The client latches the
-// first such answer, so subsequent Delete calls return this error without
-// a round trip.
-var ErrDeleteUnsupported = errors.New("cacheclient: server does not support clip invalidation")
 
 // New builds a client for the server at cfg.BaseURL.
 func New(cfg Config) (*Client, error) {
@@ -381,68 +363,25 @@ func (c *Client) Batch(ctx context.Context, items []api.BatchItem) (api.BatchRes
 }
 
 // GetBatch requests a list of clips in one round trip via POST /v1/batch
-// and returns one result per id, positionally. Against a pre-batch server
-// (the route 404s) it falls back to per-clip GETs — transparently, and only
-// probing the missing route once — so callers can batch unconditionally.
+// and returns one result per id, positionally.
 func (c *Client) GetBatch(ctx context.Context, ids []media.ClipID) ([]api.BatchItemResult, error) {
-	if !c.noBatch.Load() {
-		items := make([]api.BatchItem, len(ids))
-		for i, id := range ids {
-			items[i] = api.BatchItem{Clip: id}
-		}
-		resp, err := c.Batch(ctx, items)
-		var se *StatusError
-		if err == nil {
-			return resp.Items, nil
-		}
-		if !errors.As(err, &se) || se.Status != http.StatusNotFound {
-			return nil, err
-		}
-		c.noBatch.Store(true)
-	}
-	// Pre-batch server: issue the clips individually. Per-clip 404s become
-	// per-item results, matching the batch route's envelope.
-	out := make([]api.BatchItemResult, len(ids))
+	items := make([]api.BatchItem, len(ids))
 	for i, id := range ids {
-		res := &out[i]
-		res.Clip = id
-		clip, err := c.Clip(ctx, id)
-		if err != nil {
-			var se *StatusError
-			if errors.As(err, &se) {
-				res.Status = se.Status
-				res.Error = se.Body
-				continue
-			}
-			return nil, err
-		}
-		res.Status = http.StatusOK
-		res.Outcome = clip.Outcome
-		res.Hit = clip.Hit
-		res.SizeBytes = clip.SizeBytes
-		res.LatencySeconds = clip.LatencySeconds
-		res.Range = clip.Range
+		items[i] = api.BatchItem{Clip: id}
 	}
-	return out, nil
+	resp, err := c.Batch(ctx, items)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Items, nil
 }
 
 // Delete invalidates clip id's cached bytes (DELETE /v1/clips/{id}),
 // riding out transient faults. Idempotent on the server: deleting a
 // non-resident clip succeeds. A clip outside the repository surfaces as a
-// *StatusError with Status 404. Against a pre-churn server — whose mux
-// answers 405 for the known path with an unknown method — Delete returns
-// ErrDeleteUnsupported and latches, so callers can probe once and degrade.
+// *StatusError with Status 404.
 func (c *Client) Delete(ctx context.Context, id media.ClipID) error {
-	if c.noDelete.Load() {
-		return ErrDeleteUnsupported
-	}
-	err := c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/clips/%d", id), nil)
-	var se *StatusError
-	if errors.As(err, &se) && se.Status == http.StatusMethodNotAllowed {
-		c.noDelete.Store(true)
-		return ErrDeleteUnsupported
-	}
-	return err
+	return c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/clips/%d", id), nil)
 }
 
 // Healthz reports whether the server is live and internally consistent.

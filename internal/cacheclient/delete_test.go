@@ -1,33 +1,14 @@
 package cacheclient
 
-// delete_test.go (ISSUE 8): the Delete call and its pre-churn fallback. A
-// pre-churn server's method-patterned mux answers 405 for DELETE on the
-// known clip path; the client must latch that once and fail fast with
-// ErrDeleteUnsupported, while churn-era servers get normal 204/404
-// handling.
+// delete_test.go (ISSUE 8): the Delete call's 204/404 handling.
 
 import (
 	"context"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-
-	"mediacache/internal/media"
 )
-
-// preChurnMux mirrors a pre-churn server's routing: GET on the clip path
-// is known, so an unknown method there is 405 (with an Allow header), not
-// 404 — exactly what net/http method patterns produce.
-func preChurnMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/clips/{id}", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"clip":1,"kind":"video","sizeBytes":1024,"outcome":"hit","hit":true,"latencySeconds":0}`))
-	})
-	return mux
-}
 
 func TestDeleteAgainstChurnServer(t *testing.T) {
 	var deletes atomic.Int64
@@ -46,8 +27,8 @@ func TestDeleteAgainstChurnServer(t *testing.T) {
 	if err := c.Delete(context.Background(), 1); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	// A clip outside the repository surfaces as a 404 StatusError, without
-	// tripping the unsupported latch.
+	// A clip outside the repository surfaces as a 404 StatusError, and
+	// later calls still reach the server.
 	err := c.Delete(context.Background(), 99999)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusNotFound {
@@ -58,39 +39,5 @@ func TestDeleteAgainstChurnServer(t *testing.T) {
 	}
 	if got := deletes.Load(); got != 3 {
 		t.Fatalf("server saw %d DELETEs, want 3", got)
-	}
-}
-
-func TestDeleteLatchesOnPreChurnServer(t *testing.T) {
-	var requests atomic.Int64
-	mux := preChurnMux()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodDelete {
-			requests.Add(1)
-		}
-		mux.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	c, err := New(Config{BaseURL: ts.URL, Sleep: noSleep})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// First Delete probes the route, sees 405, latches.
-	if err := c.Delete(context.Background(), 1); !errors.Is(err, ErrDeleteUnsupported) {
-		t.Fatalf("Delete against pre-churn server: %v, want ErrDeleteUnsupported", err)
-	}
-	// Subsequent Deletes short-circuit without a round trip.
-	for i := 0; i < 3; i++ {
-		if err := c.Delete(context.Background(), media.ClipID(i+1)); !errors.Is(err, ErrDeleteUnsupported) {
-			t.Fatalf("latched Delete: %v, want ErrDeleteUnsupported", err)
-		}
-	}
-	if got := requests.Load(); got != 1 {
-		t.Fatalf("pre-churn server saw %d DELETEs, want 1 (the probe)", got)
-	}
-	// The rest of the client still works against the same server.
-	if _, err := c.Clip(context.Background(), 1); err != nil {
-		t.Fatalf("Clip after delete latch: %v", err)
 	}
 }

@@ -48,9 +48,6 @@ func TestAllPolicies(t *testing.T) {
 		"GreedyDual-Freq":  func(n int) (core.Policy, error) { return gdfreq.New(nil, 42), nil },
 		"GDSP":             func(n int) (core.Policy, error) { return gdsp.New(nil, 1, 42) },
 		"IGD":              func(n int) (core.Policy, error) { return igd.New(n, 2, 42) },
-		"IGD-indexed": func(n int) (core.Policy, error) {
-			return igd.New(n, 2, 42, igd.Indexed())
-		},
 		"IGD-frozen": func(n int) (core.Policy, error) {
 			return igd.New(n, 2, 42, igd.FrozenAging())
 		},

@@ -17,32 +17,19 @@ package gdfreq
 import (
 	"mediacache/internal/core"
 	"mediacache/internal/media"
-	"mediacache/internal/policy/prioindex"
-	"mediacache/internal/randutil"
+	"mediacache/internal/policy/greedydual"
 	"mediacache/internal/vtime"
 )
 
 // CostFunc assigns the fetch cost of a clip; nil means cost ≡ 1.
 type CostFunc func(media.Clip) float64
 
-// Policy is the GreedyDual-Freq technique. It implements core.Policy.
+// Policy is the GreedyDual-Freq technique: the GreedyDual body (inflation,
+// ranked residents, seeded tie-break, resident-byte sizes) under the
+// numerator nref·cost. It implements core.Policy.
 type Policy struct {
-	cost CostFunc
-	seed uint64
-	src  *randutil.Source
-
-	inflation float64
-	h         map[media.ClipID]float64
-	nref      map[media.ClipID]uint64
-	// eff overrides a clip's size with its resident byte total for partially
-	// resident clips under segment-granular caches (core.SegmentAware).
-	eff map[media.ClipID]media.Bytes
-
-	// scan disables the ordered index and restores the original O(n)
-	// linear-scan victim selection (the differential-test baseline).
-	scan bool
-	idx  *prioindex.Index
-	out  []media.ClipID
+	*greedydual.Policy
+	nref map[media.ClipID]uint64
 }
 
 var _ core.Policy = (*Policy)(nil)
@@ -51,172 +38,57 @@ var _ core.Policy = (*Policy)(nil)
 // means cost ≡ 1) and tie-break seed.
 func New(cost CostFunc, seed uint64) *Policy {
 	if cost == nil {
-		cost = func(media.Clip) float64 { return 1 }
+		cost = greedydual.UniformCost
 	}
-	return &Policy{
-		cost: cost,
-		seed: seed,
-		src:  randutil.NewSource(seed),
-		h:    make(map[media.ClipID]float64),
-		nref: make(map[media.ClipID]uint64),
-		eff:  make(map[media.ClipID]media.Bytes),
-		idx:  prioindex.New(),
-	}
+	p := &Policy{nref: make(map[media.ClipID]uint64)}
+	p.Policy = greedydual.New(func(c media.Clip) float64 {
+		if p.nref[c.ID] == 0 {
+			// A resident ranked before any count exists is one the policy
+			// never saw inserted (direct warm placement): count it as
+			// OnInsert would have.
+			p.nref[c.ID] = 1
+		}
+		return float64(p.nref[c.ID]) * cost(c)
+	}, seed)
+	return p
 }
 
-// Scan switches the policy to the original O(n) linear-scan victim
-// selection; decisions are identical either way.
-func (p *Policy) Scan() *Policy { p.scan = true; return p }
+// Scan switches the policy to O(n) linear-scan victim selection; decisions
+// are identical either way.
+func (p *Policy) Scan() *Policy { p.Policy.Scan(); return p }
 
 // Name implements core.Policy.
 func (p *Policy) Name() string { return "GreedyDual-Freq" }
-
-// Inflation returns the current inflation value L.
-func (p *Policy) Inflation() float64 { return p.inflation }
 
 // NRef returns the reference count of a resident clip since it became cache
 // resident (0 for non-resident clips).
 func (p *Policy) NRef(id media.ClipID) uint64 { return p.nref[id] }
 
-// sizeOf returns the bytes a clip occupies for ranking: its resident byte
-// total when a segmented cache reported one, the full clip size otherwise.
-func (p *Policy) sizeOf(c media.Clip) float64 {
-	if b, ok := p.eff[c.ID]; ok {
-		return float64(b)
-	}
-	return float64(c.Size)
-}
-
-// priority computes L + nref·cost/size for a resident clip, with size the
-// occupied (resident) bytes under segment-granular caches.
-func (p *Policy) priority(c media.Clip) float64 {
-	return p.inflation + float64(p.nref[c.ID])*p.cost(c)/p.sizeOf(c)
-}
-
-// OnResidentBytes implements core.SegmentAware: re-rank the clip under its
-// new resident byte total.
-func (p *Policy) OnResidentBytes(clip media.Clip, resident media.Bytes, _ vtime.Time) {
-	if resident > 0 && resident < clip.Size {
-		p.eff[clip.ID] = resident
-	} else {
-		delete(p.eff, clip.ID)
-	}
-	if _, tracked := p.h[clip.ID]; tracked {
-		p.rekey(clip, p.priority(clip))
-	}
-}
-
 // Record implements core.Policy: a hit increments nref and restores the
 // priority at the current inflation.
-func (p *Policy) Record(clip media.Clip, _ vtime.Time, hit bool) {
+func (p *Policy) Record(clip media.Clip, now vtime.Time, hit bool) {
 	if hit {
 		p.nref[clip.ID]++
-		p.rekey(clip, p.priority(clip))
 	}
-}
-
-// rekey stores a clip's priority and, in indexed mode, moves its index entry
-// under the new key.
-func (p *Policy) rekey(clip media.Clip, h float64) {
-	if !p.scan {
-		if old, ok := p.h[clip.ID]; ok {
-			p.idx.Delete(prioindex.Key{P: old, ID: clip.ID})
-		}
-		p.idx.Put(prioindex.Key{P: h, ID: clip.ID}, clip)
-	}
-	p.h[clip.ID] = h
-}
-
-// Admit implements core.Policy.
-func (p *Policy) Admit(media.Clip, vtime.Time) bool { return true }
-
-// Victims implements core.Policy: evict one minimum-priority clip per call,
-// ties broken uniformly at random, raising L to the evicted priority. In
-// indexed mode (the default) the minimum and its ties come from the ordered
-// index; the returned slice is reused across calls.
-func (p *Policy) Victims(_ media.Clip, view core.ResidentView, _ media.Bytes, _ vtime.Time) []media.ClipID {
-	if p.scan {
-		return p.victimsScan(view)
-	}
-	if p.idx.Len() != view.NumResident() {
-		view.ForEachResident(func(c media.Clip) bool {
-			if _, ok := p.h[c.ID]; !ok {
-				p.nref[c.ID] = 1
-				p.rekey(c, p.priority(c))
-			}
-			return true
-		})
-	}
-	minH, ties, ok := p.idx.MinTies()
-	if !ok {
-		return nil
-	}
-	p.inflation = minH
-	victim := ties[0]
-	if len(ties) > 1 {
-		victim = ties[p.src.Intn(len(ties))]
-	}
-	p.out = append(p.out[:0], victim)
-	return p.out
-}
-
-// victimsScan is the original O(n) selection over the resident set.
-func (p *Policy) victimsScan(view core.ResidentView) []media.ClipID {
-	var (
-		minH  float64
-		ties  []media.ClipID
-		found bool
-	)
-	for c := range view.Residents() {
-		h, ok := p.h[c.ID]
-		if !ok {
-			p.nref[c.ID] = 1
-			h = p.priority(c)
-			p.h[c.ID] = h
-		}
-		switch {
-		case !found || h < minH:
-			minH, ties, found = h, ties[:0], true
-			ties = append(ties, c.ID)
-		case h == minH:
-			ties = append(ties, c.ID)
-		}
-	}
-	if !found {
-		return nil
-	}
-	p.inflation = minH
-	victim := ties[0]
-	if len(ties) > 1 {
-		victim = ties[p.src.Intn(len(ties))]
-	}
-	return []media.ClipID{victim}
+	p.Policy.Record(clip, now, hit)
 }
 
 // OnInsert implements core.Policy: nref starts at 1, counting the inserting
 // reference.
-func (p *Policy) OnInsert(clip media.Clip, _ vtime.Time) {
+func (p *Policy) OnInsert(clip media.Clip, now vtime.Time) {
 	p.nref[clip.ID] = 1
-	p.rekey(clip, p.priority(clip))
+	p.Policy.OnInsert(clip, now)
 }
 
 // OnEvict implements core.Policy: the reference count is forgotten, as in
 // Cherkasova and Ciardo.
-func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
-	if h, ok := p.h[id]; ok && !p.scan {
-		p.idx.Delete(prioindex.Key{P: h, ID: id})
-	}
-	delete(p.h, id)
+func (p *Policy) OnEvict(id media.ClipID, now vtime.Time) {
 	delete(p.nref, id)
-	delete(p.eff, id)
+	p.Policy.OnEvict(id, now)
 }
 
 // Reset implements core.Policy.
 func (p *Policy) Reset() {
-	p.inflation = 0
-	p.h = make(map[media.ClipID]float64)
-	p.nref = make(map[media.ClipID]uint64)
-	p.eff = make(map[media.ClipID]media.Bytes)
-	p.idx.Reset()
-	p.src = randutil.NewSource(p.seed)
+	clear(p.nref)
+	p.Policy.Reset()
 }

@@ -24,8 +24,7 @@ import (
 
 	"mediacache/internal/core"
 	"mediacache/internal/media"
-	"mediacache/internal/policy/prioindex"
-	"mediacache/internal/randutil"
+	"mediacache/internal/policy/greedydual"
 	"mediacache/internal/vtime"
 )
 
@@ -43,27 +42,15 @@ func ByteHitCost(c media.Clip) float64 { return float64(c.Size) }
 // HitCost is cost ≡ 1: the request-hit-rate configuration (GDSF-like).
 func HitCost(media.Clip) float64 { return 1 }
 
-// Policy is the GDS-Popularity technique. It implements core.Policy.
+// Policy is the GDS-Popularity technique: the GreedyDual body (inflation,
+// ranked residents, seeded tie-break, resident-byte sizes) under the
+// numerator f^β·cost. It implements core.Policy.
 type Policy struct {
-	cost CostFunc
+	*greedydual.Policy
 	beta float64
-	seed uint64
-	src  *randutil.Source
-
-	inflation float64
-	h         map[media.ClipID]float64
 	// freq is the long-run reference count; unlike GreedyDual-Freq it
 	// survives eviction (popularity, not residency, is what GDSP tracks).
 	freq map[media.ClipID]uint64
-	// eff overrides a clip's size with its resident byte total for partially
-	// resident clips under segment-granular caches (core.SegmentAware).
-	eff map[media.ClipID]media.Bytes
-
-	// scan disables the ordered index and restores the original O(n)
-	// linear-scan victim selection (the differential-test baseline).
-	scan bool
-	idx  *prioindex.Index
-	out  []media.ClipID
 }
 
 var _ core.Policy = (*Policy)(nil)
@@ -80,21 +67,16 @@ func New(cost CostFunc, beta float64, seed uint64) (*Policy, error) {
 	if math.IsNaN(beta) || math.IsInf(beta, 0) {
 		return nil, fmt.Errorf("gdsp: beta must be finite, got %v", beta)
 	}
-	return &Policy{
-		cost: cost,
-		beta: beta,
-		seed: seed,
-		src:  randutil.NewSource(seed),
-		h:    make(map[media.ClipID]float64),
-		freq: make(map[media.ClipID]uint64),
-		eff:  make(map[media.ClipID]media.Bytes),
-		idx:  prioindex.New(),
-	}, nil
+	p := &Policy{beta: beta, freq: make(map[media.ClipID]uint64)}
+	p.Policy = greedydual.New(func(c media.Clip) float64 {
+		return math.Pow(float64(p.freq[c.ID]), beta) * cost(c)
+	}, seed)
+	return p, nil
 }
 
-// Scan switches the policy to the original O(n) linear-scan victim
-// selection; decisions are identical either way.
-func (p *Policy) Scan() *Policy { p.scan = true; return p }
+// Scan switches the policy to O(n) linear-scan victim selection; decisions
+// are identical either way.
+func (p *Policy) Scan() *Policy { p.Policy.Scan(); return p }
 
 // MustNew is like New but panics on error.
 func MustNew(cost CostFunc, beta float64, seed uint64) *Policy {
@@ -108,146 +90,19 @@ func MustNew(cost CostFunc, beta float64, seed uint64) *Policy {
 // Name implements core.Policy.
 func (p *Policy) Name() string { return "GDS-Popularity" }
 
-// Inflation returns the inflation value L.
-func (p *Policy) Inflation() float64 { return p.inflation }
-
 // Freq returns the long-run reference count of a clip.
 func (p *Policy) Freq(id media.ClipID) uint64 { return p.freq[id] }
 
-// sizeOf returns the bytes a clip occupies for ranking: its resident byte
-// total when a segmented cache reported one, the full clip size otherwise.
-func (p *Policy) sizeOf(c media.Clip) float64 {
-	if b, ok := p.eff[c.ID]; ok {
-		return float64(b)
-	}
-	return float64(c.Size)
-}
-
-// priority computes L + f^β·cost/size, with size the occupied (resident)
-// bytes under segment-granular caches.
-func (p *Policy) priority(c media.Clip) float64 {
-	f := float64(p.freq[c.ID])
-	return p.inflation + math.Pow(f, p.beta)*p.cost(c)/p.sizeOf(c)
-}
-
-// OnResidentBytes implements core.SegmentAware: re-rank the clip under its
-// new resident byte total.
-func (p *Policy) OnResidentBytes(clip media.Clip, resident media.Bytes, _ vtime.Time) {
-	if resident > 0 && resident < clip.Size {
-		p.eff[clip.ID] = resident
-	} else {
-		delete(p.eff, clip.ID)
-	}
-	if _, tracked := p.h[clip.ID]; tracked {
-		p.rekey(clip, p.priority(clip))
-	}
-}
-
 // Record implements core.Policy: every reference (hit or miss) advances the
 // popularity count; hits refresh the stored priority.
-func (p *Policy) Record(clip media.Clip, _ vtime.Time, hit bool) {
+func (p *Policy) Record(clip media.Clip, now vtime.Time, hit bool) {
 	p.freq[clip.ID]++
-	if hit {
-		p.rekey(clip, p.priority(clip))
-	}
+	p.Policy.Record(clip, now, hit)
 }
 
-// rekey stores a clip's priority and, in indexed mode, moves its index entry
-// under the new key.
-func (p *Policy) rekey(clip media.Clip, h float64) {
-	if !p.scan {
-		if old, ok := p.h[clip.ID]; ok {
-			p.idx.Delete(prioindex.Key{P: old, ID: clip.ID})
-		}
-		p.idx.Put(prioindex.Key{P: h, ID: clip.ID}, clip)
-	}
-	p.h[clip.ID] = h
-}
-
-// Admit implements core.Policy.
-func (p *Policy) Admit(media.Clip, vtime.Time) bool { return true }
-
-// Victims implements core.Policy: minimum-priority victim, random among
-// exact ties, L rises to the evicted priority. In indexed mode (the default)
-// the minimum and its ties come from the ordered index; the returned slice
-// is reused across calls.
-func (p *Policy) Victims(_ media.Clip, view core.ResidentView, _ media.Bytes, _ vtime.Time) []media.ClipID {
-	if p.scan {
-		return p.victimsScan(view)
-	}
-	if p.idx.Len() != view.NumResident() {
-		view.ForEachResident(func(c media.Clip) bool {
-			if _, ok := p.h[c.ID]; !ok {
-				p.rekey(c, p.priority(c))
-			}
-			return true
-		})
-	}
-	minH, ties, ok := p.idx.MinTies()
-	if !ok {
-		return nil
-	}
-	p.inflation = minH
-	victim := ties[0]
-	if len(ties) > 1 {
-		victim = ties[p.src.Intn(len(ties))]
-	}
-	p.out = append(p.out[:0], victim)
-	return p.out
-}
-
-// victimsScan is the original O(n) selection over the resident set.
-func (p *Policy) victimsScan(view core.ResidentView) []media.ClipID {
-	var (
-		minH  float64
-		ties  []media.ClipID
-		found bool
-	)
-	for c := range view.Residents() {
-		h, ok := p.h[c.ID]
-		if !ok {
-			h = p.priority(c)
-			p.h[c.ID] = h
-		}
-		switch {
-		case !found || h < minH:
-			minH, ties, found = h, ties[:0], true
-			ties = append(ties, c.ID)
-		case h == minH:
-			ties = append(ties, c.ID)
-		}
-	}
-	if !found {
-		return nil
-	}
-	p.inflation = minH
-	victim := ties[0]
-	if len(ties) > 1 {
-		victim = ties[p.src.Intn(len(ties))]
-	}
-	return []media.ClipID{victim}
-}
-
-// OnInsert implements core.Policy.
-func (p *Policy) OnInsert(clip media.Clip, _ vtime.Time) {
-	p.rekey(clip, p.priority(clip))
-}
-
-// OnEvict implements core.Policy: popularity survives eviction.
-func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
-	if h, ok := p.h[id]; ok && !p.scan {
-		p.idx.Delete(prioindex.Key{P: h, ID: id})
-	}
-	delete(p.h, id)
-	delete(p.eff, id)
-}
-
-// Reset implements core.Policy.
+// Reset implements core.Policy. OnEvict is the body's: popularity survives
+// eviction and is forgotten only here.
 func (p *Policy) Reset() {
-	p.inflation = 0
-	p.h = make(map[media.ClipID]float64)
-	p.freq = make(map[media.ClipID]uint64)
-	p.eff = make(map[media.ClipID]media.Bytes)
-	p.idx.Reset()
-	p.src = randutil.NewSource(p.seed)
+	clear(p.freq)
+	p.Policy.Reset()
 }

@@ -39,25 +39,22 @@ func UniformCost(media.Clip) float64 { return 1 }
 func SizeCost(c media.Clip) float64 { return float64(c.Size) }
 
 // Policy is the inflation-based GreedyDual of Figure 1. It implements
-// core.Policy.
+// core.Policy, and it is the body GreedyDual-Freq and GDS-Popularity embed:
+// they differ from it only in the numerator of H = L + value/size, which
+// they pass to New as the cost function, and in the counts that numerator
+// reads.
 type Policy struct {
 	cost CostFunc
 	seed uint64
 	src  *randutil.Source
 
 	inflation float64
-	h         map[media.ClipID]float64
 	// eff overrides a clip's size with its resident byte total for partially
 	// resident clips under segment-granular caches (core.SegmentAware).
 	// Empty under whole-clip residency, so decisions there are untouched.
 	eff map[media.ClipID]media.Bytes
-
-	// scan disables the ordered index and restores the original O(n)
-	// linear-scan victim selection. Decisions are identical either way; the
-	// scan exists as the differential-test and benchmark baseline.
-	scan bool
-	idx  *prioindex.Index
-	out  []media.ClipID
+	// set ranks the residents by their stored priority H.
+	set *prioindex.Set
 }
 
 var _ core.Policy = (*Policy)(nil)
@@ -68,20 +65,20 @@ func New(cost CostFunc, seed uint64) *Policy {
 	if cost == nil {
 		cost = UniformCost
 	}
-	return &Policy{
+	p := &Policy{
 		cost: cost,
 		seed: seed,
 		src:  randutil.NewSource(seed),
-		h:    make(map[media.ClipID]float64),
 		eff:  make(map[media.ClipID]media.Bytes),
-		idx:  prioindex.New(),
 	}
+	p.set = prioindex.New(p.rank)
+	return p
 }
 
-// Scan switches the policy to the original O(n) linear-scan victim
-// selection. Call before the first request; it exists so differential tests
-// and benchmarks can compare the two implementations.
-func (p *Policy) Scan() *Policy { p.scan = true; return p }
+// Scan switches the policy to O(n) linear-scan victim selection. Call before
+// the first request; decisions are identical either way, and the scan exists
+// as the differential-test and benchmark baseline.
+func (p *Policy) Scan() *Policy { p.set.Scan(); return p }
 
 // Name implements core.Policy.
 func (p *Policy) Name() string { return "GreedyDual" }
@@ -92,25 +89,22 @@ func (p *Policy) Inflation() float64 { return p.inflation }
 // Priority returns the stored priority H of a resident clip and whether the
 // clip is tracked.
 func (p *Policy) Priority(id media.ClipID) (float64, bool) {
-	h, ok := p.h[id]
-	return h, ok
+	k, ok := p.set.Key(id)
+	return k.P, ok
 }
 
-// sizeOf returns the bytes a clip occupies for ranking: its resident byte
-// total when a segmented cache reported one, the full clip size otherwise.
-func (p *Policy) sizeOf(c media.Clip) float64 {
-	if b, ok := p.eff[c.ID]; ok {
-		return float64(b)
-	}
-	return float64(c.Size)
-}
-
-// priority computes L + cost/size for a clip. size is the occupied bytes,
-// so a prefix-only resident ranks by the cost of its few cached bytes —
-// high priority per byte, exactly the partial-resident ranking the
+// rank stores L + cost/size as the clip's priority H, at the current
+// inflation. size is the occupied bytes — the resident byte total when a
+// segmented cache reported one, the full clip size otherwise — so a
+// prefix-only resident ranks by the cost of its few cached bytes: high
+// priority per byte, exactly the partial-resident ranking the
 // LRU-generalization literature calls for.
-func (p *Policy) priority(c media.Clip) float64 {
-	return p.inflation + p.cost(c)/p.sizeOf(c)
+func (p *Policy) rank(clip media.Clip) {
+	size := clip.Size
+	if b, ok := p.eff[clip.ID]; ok {
+		size = b
+	}
+	p.set.Put(clip, p.inflation+p.cost(clip)/float64(size), 0)
 }
 
 // OnResidentBytes implements core.SegmentAware: a segmented engine reports
@@ -122,8 +116,8 @@ func (p *Policy) OnResidentBytes(clip media.Clip, resident media.Bytes, _ vtime.
 	} else {
 		delete(p.eff, clip.ID)
 	}
-	if _, tracked := p.h[clip.ID]; tracked {
-		p.rekey(clip, p.priority(clip))
+	if _, tracked := p.set.Key(clip.ID); tracked {
+		p.rank(clip)
 	}
 }
 
@@ -131,20 +125,8 @@ func (p *Policy) OnResidentBytes(clip media.Clip, resident media.Bytes, _ vtime.
 // to its full value at the current inflation.
 func (p *Policy) Record(clip media.Clip, _ vtime.Time, hit bool) {
 	if hit {
-		p.rekey(clip, p.priority(clip))
+		p.rank(clip)
 	}
-}
-
-// rekey stores a clip's priority and, in indexed mode, moves its index entry
-// under the new key.
-func (p *Policy) rekey(clip media.Clip, h float64) {
-	if !p.scan {
-		if old, ok := p.h[clip.ID]; ok {
-			p.idx.Delete(prioindex.Key{P: old, ID: clip.ID})
-		}
-		p.idx.Put(prioindex.Key{P: h, ID: clip.ID}, clip)
-	}
-	p.h[clip.ID] = h
 }
 
 // Admit implements core.Policy.
@@ -152,92 +134,34 @@ func (p *Policy) Admit(media.Clip, vtime.Time) bool { return true }
 
 // Victims implements core.Policy: one victim per call — the resident clip
 // with minimum H, ties broken uniformly at random. L rises to the victim's
-// priority. The engine calls again if more space is needed.
-//
-// In indexed mode (the default) the minimum and its ties come from the
-// ordered index in O(log n + #ties); the returned slice is reused across
-// calls and holds exactly one id.
+// priority. The engine calls again if more space is needed. The returned
+// slice is reused across calls and holds exactly one id.
 func (p *Policy) Victims(_ media.Clip, view core.ResidentView, _ media.Bytes, _ vtime.Time) []media.ClipID {
-	if p.scan {
-		return p.victimsScan(view)
-	}
-	if p.idx.Len() != view.NumResident() {
-		// A clip became resident without OnInsert (direct warm placement):
-		// adopt it as freshly inserted, mirroring the scan's lazy adoption.
-		view.ForEachResident(func(c media.Clip) bool {
-			if _, ok := p.h[c.ID]; !ok {
-				p.rekey(c, p.priority(c))
-			}
-			return true
-		})
-	}
-	minH, ties, ok := p.idx.MinTies()
+	minH, ties, ok := p.set.MinTies(view)
 	if !ok {
 		return nil
 	}
 	p.inflation = minH
-	victim := ties[0]
 	if len(ties) > 1 {
-		victim = ties[p.src.Intn(len(ties))]
+		ties[0] = ties[p.src.Intn(len(ties))]
 	}
-	p.out = append(p.out[:0], victim)
-	return p.out
-}
-
-// victimsScan is the original O(n) selection over the resident set.
-func (p *Policy) victimsScan(view core.ResidentView) []media.ClipID {
-	var (
-		minH  float64
-		ties  []media.ClipID
-		found bool
-	)
-	for c := range view.Residents() {
-		h, ok := p.h[c.ID]
-		if !ok {
-			// Warm-inserted clip unknown to the policy: treat as freshly
-			// inserted.
-			h = p.priority(c)
-			p.h[c.ID] = h
-		}
-		switch {
-		case !found || h < minH:
-			minH, ties, found = h, ties[:0], true
-			ties = append(ties, c.ID)
-		case h == minH:
-			ties = append(ties, c.ID)
-		}
-	}
-	if !found {
-		return nil
-	}
-	p.inflation = minH
-	victim := ties[0]
-	if len(ties) > 1 {
-		victim = ties[p.src.Intn(len(ties))]
-	}
-	return []media.ClipID{victim}
+	return ties[:1]
 }
 
 // OnInsert implements core.Policy: the new clip's priority is L + cost/size.
-func (p *Policy) OnInsert(clip media.Clip, _ vtime.Time) {
-	p.rekey(clip, p.priority(clip))
-}
+func (p *Policy) OnInsert(clip media.Clip, _ vtime.Time) { p.rank(clip) }
 
 // OnEvict implements core.Policy.
 func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
-	if h, ok := p.h[id]; ok && !p.scan {
-		p.idx.Delete(prioindex.Key{P: h, ID: id})
-	}
-	delete(p.h, id)
+	p.set.Drop(id)
 	delete(p.eff, id)
 }
 
 // Reset implements core.Policy, rewinding the tie-break stream.
 func (p *Policy) Reset() {
 	p.inflation = 0
-	p.h = make(map[media.ClipID]float64)
-	p.eff = make(map[media.ClipID]media.Bytes)
-	p.idx.Reset()
+	clear(p.eff)
+	p.set.Reset()
 	p.src = randutil.NewSource(p.seed)
 }
 

@@ -50,19 +50,13 @@ type Policy struct {
 	baseL     map[media.ClipID]float64
 	nref      map[media.ClipID]uint64
 	// eff overrides a clip's size with its resident byte total for partially
-	// resident clips under segment-granular caches (core.SegmentAware). The
-	// base-inflation index needs no rekey: L(x) stays a lower bound on the
-	// score whatever the size term, so branch-and-bound pruning is unchanged.
+	// resident clips under segment-granular caches (core.SegmentAware).
 	eff map[media.ClipID]media.Bytes
 
 	// freezeAging disables selection-time Δ evaluation and freezes the
 	// priority at touch time instead — the BenchmarkIGDAging ablation.
 	freezeAging bool
 	frozen      map[media.ClipID]float64
-
-	// idx, when non-nil, holds the ordered base-inflation index enabling
-	// branch-and-bound victim selection (see indexed.go).
-	idx *index
 }
 
 var _ core.Policy = (*Policy)(nil)
@@ -113,14 +107,10 @@ func MustNew(n, k int, seed uint64, opts ...Option) *Policy {
 
 // Name implements core.Policy.
 func (p *Policy) Name() string {
-	switch {
-	case p.freezeAging:
+	if p.freezeAging {
 		return fmt.Sprintf("IGD(K=%d,frozen)", p.k)
-	case p.idx != nil:
-		return fmt.Sprintf("IGD(K=%d,indexed)", p.k)
-	default:
-		return fmt.Sprintf("IGD(K=%d)", p.k)
 	}
+	return fmt.Sprintf("IGD(K=%d)", p.k)
 }
 
 // K returns the history depth.
@@ -187,14 +177,12 @@ func (p *Policy) OnResidentBytes(clip media.Clip, resident media.Bytes, now vtim
 func (p *Policy) Record(clip media.Clip, now vtime.Time, hit bool) {
 	p.tracker.Observe(clip.ID, now)
 	if hit {
-		p.indexRemove(clip.ID, p.baseL[clip.ID])
 		p.nref[clip.ID]++
 		p.baseL[clip.ID] = p.inflation
 		if p.freezeAging {
 			delete(p.frozen, clip.ID)
 			p.frozen[clip.ID] = p.Score(clip, now)
 		}
-		p.indexInsert(clip)
 	}
 }
 
@@ -205,9 +193,6 @@ func (p *Policy) Admit(media.Clip, vtime.Time) bool { return true }
 // current score, ties broken uniformly at random; L rises to the evicted
 // score.
 func (p *Policy) Victims(_ media.Clip, view core.ResidentView, _ media.Bytes, now vtime.Time) []media.ClipID {
-	if p.idx != nil {
-		return p.victimsIndexed(view, now)
-	}
 	var (
 		minH  float64
 		ties  []media.ClipID
@@ -247,7 +232,6 @@ func (p *Policy) adopt(c media.Clip, now vtime.Time) {
 	if p.freezeAging {
 		p.frozen[c.ID] = p.Score(c, now)
 	}
-	p.indexInsert(c)
 }
 
 // OnInsert implements core.Policy: nref starts at 1 (the inserting
@@ -260,7 +244,6 @@ func (p *Policy) OnInsert(clip media.Clip, now vtime.Time) {
 // forgotten (Section 4.2: "IGD forgets nref(x) when clip x is swapped out");
 // the K-reference history survives.
 func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
-	p.indexRemove(id, p.baseL[id])
 	delete(p.baseL, id)
 	delete(p.nref, id)
 	delete(p.eff, id)
@@ -276,7 +259,4 @@ func (p *Policy) Reset() {
 	p.nref = make(map[media.ClipID]uint64)
 	p.eff = make(map[media.ClipID]media.Bytes)
 	p.frozen = make(map[media.ClipID]float64)
-	if p.idx != nil {
-		p.idx = newIndex()
-	}
 }

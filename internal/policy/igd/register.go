@@ -13,11 +13,4 @@ func init() {
 			return New(cfg.Repo.N(), cfg.Spec.K, cfg.Seed)
 		},
 	})
-	registry.Register(registry.Entry{
-		Name:  "igd-indexed",
-		Usage: "igd-indexed:K",
-		New: func(cfg registry.Config) (core.Policy, error) {
-			return New(cfg.Repo.N(), cfg.Spec.K, cfg.Seed, Indexed())
-		},
-	})
 }

@@ -25,20 +25,12 @@ type Policy struct {
 	aging bool
 
 	inflation float64
-	prio      map[media.ClipID]float64
 	count     map[media.ClipID]uint64
-	lastRef   map[media.ClipID]vtime.Time
-
-	// scan disables the ordered index and restores the original
-	// O(n)-per-victim linear scan (the differential-test baseline).
-	//
-	// The index is a tree keyed (priority, lastRef, id) rather than literal
-	// frequency buckets: LFU-DA priorities are count + L with a float
-	// inflation L, so bucket keys would not stay integral. The tree serves
-	// both variants with one ordering.
-	scan bool
-	idx  *prioindex.Index
-	out  []media.ClipID
+	// set ranks the residents by (priority, last reference, id). It is an
+	// ordered set rather than literal frequency buckets: LFU-DA priorities
+	// are count + L with a float inflation L, so bucket keys would not stay
+	// integral. One ordering serves both variants.
+	set *prioindex.Set
 }
 
 var _ core.Policy = (*Policy)(nil)
@@ -50,18 +42,16 @@ func New() *Policy { return newPolicy(false) }
 func NewDA() *Policy { return newPolicy(true) }
 
 func newPolicy(aging bool) *Policy {
-	return &Policy{
-		aging:   aging,
-		prio:    make(map[media.ClipID]float64),
-		count:   make(map[media.ClipID]uint64),
-		lastRef: make(map[media.ClipID]vtime.Time),
-		idx:     prioindex.New(),
-	}
+	p := &Policy{aging: aging, count: make(map[media.ClipID]uint64)}
+	// A warm-placed clip the policy never saw inserted is adopted at count 1
+	// with no reference time.
+	p.set = prioindex.New(func(c media.Clip) { p.OnInsert(c, 0) })
+	return p
 }
 
-// Scan switches the policy to the original O(n)-per-victim linear-scan
-// selection; decisions are identical either way.
-func (p *Policy) Scan() *Policy { p.scan = true; return p }
+// Scan switches the policy to linear-scan victim selection; decisions are
+// identical either way.
+func (p *Policy) Scan() *Policy { p.set.Scan(); return p }
 
 // Name implements core.Policy.
 func (p *Policy) Name() string {
@@ -89,152 +79,41 @@ func (p *Policy) priority(id media.ClipID) float64 {
 // Record implements core.Policy.
 func (p *Policy) Record(clip media.Clip, now vtime.Time, hit bool) {
 	if hit {
-		p.unindexClip(clip.ID)
 		p.count[clip.ID]++
-		p.prio[clip.ID] = p.priority(clip.ID)
-		p.lastRef[clip.ID] = now
-		p.indexClip(clip)
-	}
-}
-
-// indexClip inserts a tracked clip's current (priority, lastRef) key into
-// the ordered index (indexed mode only).
-func (p *Policy) indexClip(clip media.Clip) {
-	if p.scan {
-		return
-	}
-	p.idx.Put(prioindex.Key{P: p.prio[clip.ID], Last: p.lastRef[clip.ID], ID: clip.ID}, clip)
-}
-
-// unindexClip removes a tracked clip's index entry, if any.
-func (p *Policy) unindexClip(id media.ClipID) {
-	if p.scan {
-		return
-	}
-	if prio, ok := p.prio[id]; ok {
-		p.idx.Delete(prioindex.Key{P: prio, Last: p.lastRef[id], ID: id})
+		p.set.Put(clip, p.priority(clip.ID), now)
 	}
 }
 
 // Admit implements core.Policy.
 func (p *Policy) Admit(media.Clip, vtime.Time) bool { return true }
 
-// Victims implements core.Policy: evict minimum-priority clips; ties broken
-// by least-recent reference, then lower id, for determinism. In indexed mode
-// (the default) the victims come from an ordered, allocation-free walk of
-// the priority index instead of the scan's O(n)-per-victim search.
+// Victims implements core.Policy: evict minimum-priority clips until need
+// bytes are covered; ties broken by least-recent reference, then lower id,
+// for determinism. Under dynamic aging L rises to the largest evicted
+// priority.
 func (p *Policy) Victims(_ media.Clip, view core.ResidentView, need media.Bytes, _ vtime.Time) []media.ClipID {
-	if !p.scan {
-		return p.victimsIndexed(view, need)
+	ids, maxP := p.set.Prefix(view, need)
+	if p.aging && maxP > p.inflation {
+		p.inflation = maxP
 	}
-	resident := core.CollectResidents(view)
-	taken := make(map[media.ClipID]bool, len(resident))
-	var out []media.ClipID
-	var freed media.Bytes
-	for freed < need && len(out) < len(resident) {
-		best := -1
-		var bestPrio float64
-		var bestLast vtime.Time
-		for i, c := range resident {
-			if taken[c.ID] {
-				continue
-			}
-			if _, ok := p.prio[c.ID]; !ok {
-				// Warm-inserted clip: adopt at count 1.
-				p.count[c.ID] = 1
-				p.prio[c.ID] = p.priority(c.ID)
-			}
-			prio := p.prio[c.ID]
-			last := p.lastRef[c.ID]
-			better := false
-			switch {
-			case best == -1:
-				better = true
-			case prio != bestPrio:
-				better = prio < bestPrio
-			case last != bestLast:
-				better = last < bestLast
-			default:
-				better = c.ID < resident[best].ID
-			}
-			if better {
-				best, bestPrio, bestLast = i, prio, last
-			}
-		}
-		if best == -1 {
-			break
-		}
-		victim := resident[best]
-		taken[victim.ID] = true
-		if p.aging && bestPrio > p.inflation {
-			p.inflation = bestPrio
-		}
-		out = append(out, victim.ID)
-		freed += victim.Size
-	}
-	return out
-}
-
-// victimsIndexed walks the priority index in ascending (priority, lastRef,
-// id) order — exactly the scan's repeated-minimum sequence, because stored
-// priorities do not change during a Victims call — collecting victims into
-// the reusable out buffer until need bytes are covered.
-func (p *Policy) victimsIndexed(view core.ResidentView, need media.Bytes) []media.ClipID {
-	if p.idx.Len() != view.NumResident() {
-		// Warm-placed clip unknown to the policy: adopt at count 1, as the
-		// scan does lazily (all scan adoptions happen on its first inner
-		// pass, before any inflation update, so adopting up front here is
-		// decision-identical).
-		view.ForEachResident(func(c media.Clip) bool {
-			if _, ok := p.prio[c.ID]; !ok {
-				p.count[c.ID] = 1
-				p.prio[c.ID] = p.priority(c.ID)
-				p.indexClip(c)
-			}
-			return true
-		})
-	}
-	p.out = p.out[:0]
-	var freed media.Bytes
-	p.idx.Ascend(func(k prioindex.Key, c media.Clip) bool {
-		if freed >= need {
-			return false
-		}
-		if p.aging && k.P > p.inflation {
-			p.inflation = k.P
-		}
-		p.out = append(p.out, c.ID)
-		freed += c.Size
-		return true
-	})
-	if len(p.out) == 0 {
-		return nil
-	}
-	return p.out
+	return ids
 }
 
 // OnInsert implements core.Policy: the inserting reference counts.
 func (p *Policy) OnInsert(clip media.Clip, now vtime.Time) {
 	p.count[clip.ID] = 1
-	p.prio[clip.ID] = p.priority(clip.ID)
-	p.lastRef[clip.ID] = now
-	p.indexClip(clip)
+	p.set.Put(clip, p.priority(clip.ID), now)
 }
 
 // OnEvict implements core.Policy: counts are in-cache only.
 func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
-	p.unindexClip(id)
+	p.set.Drop(id)
 	delete(p.count, id)
-	delete(p.prio, id)
-	delete(p.lastRef, id)
 }
 
 // Reset implements core.Policy.
 func (p *Policy) Reset() {
 	p.inflation = 0
-	p.prio = make(map[media.ClipID]float64)
-	p.count = make(map[media.ClipID]uint64)
-	p.lastRef = make(map[media.ClipID]vtime.Time)
-	p.idx.Reset()
-	p.out = p.out[:0]
+	clear(p.count)
+	p.set.Reset()
 }

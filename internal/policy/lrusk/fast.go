@@ -1,121 +1,25 @@
 package lrusk
 
-import (
-	"fmt"
-
-	"mediacache/internal/core"
-	"mediacache/internal/history"
-	"mediacache/internal/media"
-	"mediacache/internal/vtime"
-)
-
-// Fast is the tree-based LRU-SK implementation the paper names as future
-// work in Section 5 ("develop efficient implementations ... may require
-// tree-based data structures to minimize the complexity of identifying a
-// victim clip"). The victim-selection machinery lives in skIndex, shared
-// with the default Policy (which now runs the same indexed algorithm); Fast
-// remains as the named "(tree)" variant so experiments can quote it
-// explicitly, and as the historical home of the approach.
-type Fast struct {
-	k       int
-	n       int
-	tracker *history.Tracker
-	idx     *skIndex
-	out     []media.ClipID
-}
-
-var _ core.Policy = (*Fast)(nil)
-
-// NewFast returns a tree-based LRU-SK policy for a repository of n clips.
-func NewFast(n, k int) (*Fast, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("lrusk: repository size must be positive, got %d", n)
+// NewFast returns the policy New returns labelled "LRU-S<K>(tree)": the
+// tree-based LRU-SK the paper names as future work in Section 5 ("develop
+// efficient implementations ... may require tree-based data structures to
+// minimize the complexity of identifying a victim clip"). That algorithm is
+// what Policy runs by default; the label remains so experiments and the
+// lrusk-tree registry name can quote the tree variant explicitly.
+func NewFast(n, k int) (*Policy, error) {
+	p, err := New(n, k)
+	if err != nil {
+		return nil, err
 	}
-	if k <= 0 {
-		return nil, fmt.Errorf("lrusk: K must be positive, got %d", k)
-	}
-	tracker := history.NewTracker(n, k)
-	return &Fast{k: k, n: n, tracker: tracker, idx: newSKIndex(tracker)}, nil
+	p.tree = true
+	return p, nil
 }
 
 // MustNewFast is like NewFast but panics on error.
-func MustNewFast(n, k int) *Fast {
+func MustNewFast(n, k int) *Policy {
 	p, err := NewFast(n, k)
 	if err != nil {
 		panic(err)
 	}
 	return p
-}
-
-// Name implements core.Policy.
-func (p *Fast) Name() string { return fmt.Sprintf("LRU-S%d(tree)", p.k) }
-
-// K returns the history depth.
-func (p *Fast) K() int { return p.k }
-
-// Tracker exposes the underlying reference history.
-func (p *Fast) Tracker() *history.Tracker { return p.tracker }
-
-// Record implements core.Policy: the history advances and a resident clip
-// is re-keyed under its new (t_K, t_last).
-func (p *Fast) Record(clip media.Clip, now vtime.Time, _ bool) {
-	_, resident := p.idx.unindex(clip.ID)
-	p.tracker.Observe(clip.ID, now)
-	if resident {
-		p.idx.index(clip)
-	}
-}
-
-// Admit implements core.Policy.
-func (p *Fast) Admit(media.Clip, vtime.Time) bool { return true }
-
-// Victims implements core.Policy: per-class tree minima are compared by the
-// same ordering as the scan implementation until need bytes are covered.
-// The returned slice is reused across calls.
-func (p *Fast) Victims(_ media.Clip, view core.ResidentView, need media.Bytes, now vtime.Time) []media.ClipID {
-	// Resync with the engine's resident set: warm placement and the
-	// segmented engine's partial trims leave clips resident that popBest
-	// already removed from the index, and they must stay evictable.
-	if p.idx.len() != view.NumResident() {
-		view.ForEachResident(func(c media.Clip) bool {
-			if !p.idx.has(c.ID) {
-				p.idx.index(c)
-			}
-			return true
-		})
-	}
-	p.out = p.out[:0]
-	var freed media.Bytes
-	for freed < need {
-		id, size, ok := p.idx.popBest(now)
-		if !ok {
-			break
-		}
-		p.out = append(p.out, id)
-		freed += size
-	}
-	// The engine will confirm each eviction through OnEvict; entries are
-	// already unindexed, so OnEvict's removal is a no-op for them.
-	if len(p.out) == 0 {
-		return nil
-	}
-	return p.out
-}
-
-// OnInsert implements core.Policy.
-func (p *Fast) OnInsert(clip media.Clip, _ vtime.Time) {
-	p.idx.index(clip)
-}
-
-// OnEvict implements core.Policy. Victims chosen by popBest are already
-// unindexed; external evictions (none in practice) are handled too.
-func (p *Fast) OnEvict(id media.ClipID, _ vtime.Time) {
-	p.idx.unindex(id)
-}
-
-// Reset implements core.Policy.
-func (p *Fast) Reset() {
-	p.tracker = history.NewTracker(p.n, p.k)
-	p.idx.reset(p.tracker)
-	p.out = p.out[:0]
 }

@@ -9,8 +9,7 @@ import (
 	"mediacache/internal/vtime"
 )
 
-// skIndex is the tree-based victim index shared by the default (indexed)
-// Policy and the Fast implementation.
+// skIndex is the tree-based victim index of the default (indexed) Policy.
 //
 // The insight: the LRU-SK eviction score Δ_K(x,t)·s(x) depends on the
 // current time t, so no single static order exists across clip sizes — but

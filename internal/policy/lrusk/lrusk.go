@@ -24,6 +24,8 @@ type Policy struct {
 	k       int
 	n       int
 	tracker *history.Tracker
+	// tree marks the instance NewFast built: it only changes Name.
+	tree bool
 
 	// scan disables the per-size-class tree index and restores the original
 	// O(n)-per-victim linear scan (the differential-test baseline).
@@ -60,7 +62,12 @@ func MustNew(n, k int) *Policy {
 }
 
 // Name implements core.Policy.
-func (p *Policy) Name() string { return fmt.Sprintf("LRU-S%d", p.k) }
+func (p *Policy) Name() string {
+	if p.tree {
+		return fmt.Sprintf("LRU-S%d(tree)", p.k)
+	}
+	return fmt.Sprintf("LRU-S%d", p.k)
+}
 
 // K returns the history depth.
 func (p *Policy) K() int { return p.k }

@@ -1,19 +1,29 @@
-// Package prioindex provides the incrementally maintained victim index
-// shared by the function-based replacement techniques (GreedyDual and its
-// descendants, LFU/LFU-DA, Simple).
+// Package prioindex provides the ranked resident set shared by the
+// function-based replacement techniques (GreedyDual and its descendants,
+// LFU/LFU-DA, Simple).
+//
+// Every one of them makes the same greedy move: rank the resident clips by a
+// function and evict the minimum. A Set is that move written once. It holds
+// each resident's Key, ordered by (priority, last-reference, id), and answers
+// the two selections in use — the minimum with its exact ties (the
+// GreedyDual family breaks them with a seeded draw) and the ascending prefix
+// that covers a byte need (LFU, LFU-DA, Simple). A policy on top of it is its
+// priority function and its counters.
 //
 // The paper's Section 5 names efficient victim selection as future work:
 // "This may require tree-based data structures to minimize the complexity
-// of identifying a victim clip." Each policy keeps its resident clips in an
-// Index ordered by (priority, last-reference, id); the minimum is the next
-// victim, so selection is O(log n) maintenance per reference instead of an
-// O(n) scan per eviction. The key ordering reproduces, field for field, the
-// tie-break rules of the linear scans it replaces, so indexing changes cost,
-// never decisions — the property the differential tests in package
-// conformance assert.
+// of identifying a victim clip." By default the keys sit in a red-black tree,
+// so a selection costs O(log n) maintenance per reference instead of an O(n)
+// scan per eviction. Scan switches a Set to its linear-scan twin: the same
+// selections computed under the same key order by a pass over the engine's
+// resident view. It is the differential reference and the benchmark baseline
+// of all five policies, and the only linear-scan selection code they have;
+// package conformance asserts the two modes name identical victims.
 package prioindex
 
 import (
+	"slices"
+
 	"mediacache/internal/media"
 	"mediacache/internal/rbtree"
 	"mediacache/internal/vtime"
@@ -23,8 +33,7 @@ import (
 // is the better victim; ties prefer the smaller Last (older reference, or
 // any policy-specific secondary criterion encoded into it), then the lower
 // clip ID. Policies without a secondary criterion leave Last at zero, making
-// equal-priority entries ascend by ID — exactly the order the linear scans
-// collected ties in when walking ResidentClips.
+// equal-priority entries ascend by ID.
 type Key struct {
 	P    float64
 	Last vtime.Time
@@ -41,56 +50,176 @@ func lessKey(a, b Key) bool {
 	return a.ID < b.ID
 }
 
-// Index is an ordered set of resident clips keyed by eviction preference.
-// The zero value is not usable; create indexes with New.
-type Index struct {
+// Residents is the part of core.ResidentView a Set reads: the authoritative
+// resident set, visited in ascending ID order.
+type Residents interface {
+	NumResident() int
+	ForEachResident(fn func(media.Clip) bool)
+}
+
+type ranked struct {
+	Key
+	clip media.Clip
+}
+
+// Set is the ranked resident set of one policy instance. The zero value is
+// not usable; create sets with New.
+type Set struct {
+	adopt func(media.Clip)
+	keys  map[media.ClipID]Key
+	// tree orders the keys; nil in scan mode.
 	tree *rbtree.Tree[Key, media.Clip]
-	ties []media.ClipID
+	// gathered is the scan twin's reusable candidate buffer.
+	gathered []ranked
+	ids      []media.ClipID
 }
 
-// New returns an empty index.
-func New() *Index {
-	return &Index{tree: rbtree.New[Key, media.Clip](lessKey)}
-}
-
-// Len returns the number of indexed clips.
-func (x *Index) Len() int { return x.tree.Len() }
-
-// Put inserts (or re-inserts) a clip under key.
-func (x *Index) Put(k Key, c media.Clip) { x.tree.Put(k, c) }
-
-// Delete removes the entry stored under key, reporting whether it existed.
-func (x *Index) Delete(k Key) bool { return x.tree.Delete(k) }
-
-// Min returns the best victim's key and clip.
-func (x *Index) Min() (Key, media.Clip, bool) { return x.tree.Min() }
-
-// Ascend visits entries in eviction-preference order until fn returns false.
-func (x *Index) Ascend(fn func(Key, media.Clip) bool) { x.tree.Ascend(fn) }
-
-// MinTies returns the minimum priority and the IDs of every entry tied at
-// exactly that priority, in ascending (Last, ID) order — the order the
-// linear scans gathered ties in, which matters because the caller breaks the
-// tie with a seeded random draw over the slice. The returned slice is reused
-// across calls; callers must not retain it.
-func (x *Index) MinTies() (minP float64, ties []media.ClipID, ok bool) {
-	k, _, ok := x.tree.Min()
-	if !ok {
-		return 0, nil, false
+// New returns an empty set. adopt is called for a resident the set holds no
+// key for — one the policy never saw inserted (direct warm placement, or
+// every resident after Reset) — and must Put it, ranked as freshly inserted.
+func New(adopt func(media.Clip)) *Set {
+	return &Set{
+		adopt: adopt,
+		keys:  make(map[media.ClipID]Key),
+		tree:  rbtree.New[Key, media.Clip](lessKey),
 	}
-	x.ties = x.ties[:0]
-	x.tree.Ascend(func(key Key, _ media.Clip) bool {
-		if key.P != k.P {
+}
+
+// Scan switches the set to the linear-scan twin. Call before the first Put.
+func (s *Set) Scan() { s.tree = nil }
+
+// Key returns clip id's key and whether the clip is ranked.
+func (s *Set) Key(id media.ClipID) (Key, bool) {
+	k, ok := s.keys[id]
+	return k, ok
+}
+
+// Put ranks clip under (p, last), replacing any key it held.
+func (s *Set) Put(clip media.Clip, p float64, last vtime.Time) {
+	k := Key{P: p, Last: last, ID: clip.ID}
+	if s.tree != nil {
+		if old, ok := s.keys[clip.ID]; ok {
+			s.tree.Delete(old)
+		}
+		s.tree.Put(k, clip)
+	}
+	s.keys[clip.ID] = k
+}
+
+// Drop forgets clip id.
+func (s *Set) Drop(id media.ClipID) {
+	if k, ok := s.keys[id]; ok {
+		if s.tree != nil {
+			s.tree.Delete(k)
+		}
+		delete(s.keys, id)
+	}
+}
+
+// Reset empties the set, retaining the buffers' capacity.
+func (s *Set) Reset() {
+	clear(s.keys)
+	if s.tree != nil {
+		s.tree = rbtree.New[Key, media.Clip](lessKey)
+	}
+}
+
+// Min returns the best victim's key.
+func (s *Set) Min(view Residents) (min Key, ok bool) {
+	s.ascend(view, true, func(k Key, _ media.Clip) bool {
+		min, ok = k, true
+		return false
+	})
+	return min, ok
+}
+
+// MinTies returns the minimum priority and the IDs of every resident tied at
+// exactly that priority, in ascending (Last, ID) order — the order matters
+// because the caller breaks the tie with a seeded random draw over the
+// slice. The slice is reused by the next selection; callers must not retain
+// it.
+func (s *Set) MinTies(view Residents) (minP float64, ties []media.ClipID, ok bool) {
+	s.ids = s.ids[:0]
+	s.ascend(view, true, func(k Key, _ media.Clip) bool {
+		if len(s.ids) > 0 && k.P != minP {
 			return false
 		}
-		x.ties = append(x.ties, key.ID)
+		minP = k.P
+		s.ids = append(s.ids, k.ID)
 		return true
 	})
-	return k.P, x.ties, true
+	return minP, s.ids, len(s.ids) > 0
 }
 
-// Reset empties the index, retaining the tie buffer's capacity.
-func (x *Index) Reset() {
-	x.tree = rbtree.New[Key, media.Clip](lessKey)
-	x.ties = x.ties[:0]
+// Prefix returns the residents in ascending key order up to the first whose
+// size brings the total to need bytes, with the priority of the last one
+// (the largest returned); nil when need is already met or nothing is
+// resident. The slice is reused by the next selection; callers must not
+// retain it.
+func (s *Set) Prefix(view Residents, need media.Bytes) (ids []media.ClipID, maxP float64) {
+	s.ids = s.ids[:0]
+	var freed media.Bytes
+	s.ascend(view, false, func(k Key, c media.Clip) bool {
+		if freed >= need {
+			return false
+		}
+		s.ids = append(s.ids, c.ID)
+		freed += c.Size
+		maxP = k.P
+		return true
+	})
+	if len(s.ids) == 0 {
+		return nil, 0
+	}
+	return s.ids, maxP
+}
+
+// ascend adopts any resident the set has no key for, then visits the ranked
+// residents in key order until fn returns false: a walk of the tree, or in
+// scan mode one pass over view gathering each resident with its key — only
+// those at the minimum priority when minOnly, which is all MinTies and Min
+// read, so they stay O(n) — followed by a sort of what was gathered.
+func (s *Set) ascend(view Residents, minOnly bool, fn func(Key, media.Clip) bool) {
+	if len(s.keys) != view.NumResident() {
+		// Keys are a subset of the residents (every Put is an insert, every
+		// eviction a Drop), so equal counts mean equal sets.
+		view.ForEachResident(func(c media.Clip) bool {
+			if _, ok := s.keys[c.ID]; !ok {
+				s.adopt(c)
+			}
+			return true
+		})
+	}
+	if s.tree != nil {
+		s.tree.Ascend(fn)
+		return
+	}
+	s.gathered = s.gathered[:0]
+	view.ForEachResident(func(c media.Clip) bool {
+		k := s.keys[c.ID]
+		if minOnly && len(s.gathered) > 0 {
+			if k.P > s.gathered[0].P {
+				return true
+			}
+			if k.P < s.gathered[0].P {
+				s.gathered = s.gathered[:0]
+			}
+		}
+		s.gathered = append(s.gathered, ranked{k, c})
+		return true
+	})
+	slices.SortFunc(s.gathered, func(a, b ranked) int {
+		switch {
+		case lessKey(a.Key, b.Key):
+			return -1
+		case lessKey(b.Key, a.Key):
+			return 1
+		}
+		return 0
+	})
+	for _, r := range s.gathered {
+		if !fn(r.Key, r.clip) {
+			return
+		}
+	}
 }

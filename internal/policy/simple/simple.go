@@ -15,7 +15,6 @@ package simple
 
 import (
 	"fmt"
-	"sort"
 
 	"mediacache/internal/core"
 	"mediacache/internal/media"
@@ -31,16 +30,10 @@ type Policy struct {
 	// evict.
 	noCacheColder bool
 
-	// scan disables the ordered index and restores the original
-	// sort-per-Victims-call selection (the differential-test baseline).
-	scan bool
-	// idx orders resident clips by (byte-freq asc, size desc, id asc) — the
-	// scan's exact sort order. Byte-freqs are static between SetFrequencies
-	// calls, so the index only changes on insert/evict/refresh.
-	idx *prioindex.Index
-	// keys remembers each resident's index key for O(log n) removal.
-	keys map[media.ClipID]prioindex.Key
-	out  []media.ClipID
+	// set ranks the residents by (byte-freq asc, size desc, id asc).
+	// Byte-freqs are static between SetFrequencies calls, so it only changes
+	// on insert, evict and refresh.
+	set *prioindex.Set
 }
 
 var _ core.Policy = (*Policy)(nil)
@@ -54,9 +47,8 @@ func NoCacheColder() Option {
 	return func(p *Policy) { p.noCacheColder = true }
 }
 
-// New returns a Simple policy with advance knowledge of the clip access
-// frequencies (indexed by clip id-1). Frequencies must be non-negative.
-func New(frequencies []float64, opts ...Option) (*Policy, error) {
+// checked returns a copy of the frequency vector after validating it.
+func checked(frequencies []float64) ([]float64, error) {
 	if len(frequencies) == 0 {
 		return nil, fmt.Errorf("simple: frequency vector must not be empty")
 	}
@@ -65,27 +57,27 @@ func New(frequencies []float64, opts ...Option) (*Policy, error) {
 			return nil, fmt.Errorf("simple: negative frequency %v for clip %d", f, i+1)
 		}
 	}
-	p := &Policy{
-		freq: append([]float64(nil), frequencies...),
-		idx:  prioindex.New(),
-		keys: make(map[media.ClipID]prioindex.Key),
+	return append([]float64(nil), frequencies...), nil
+}
+
+// New returns a Simple policy with advance knowledge of the clip access
+// frequencies (indexed by clip id-1). Frequencies must be non-negative.
+func New(frequencies []float64, opts ...Option) (*Policy, error) {
+	freq, err := checked(frequencies)
+	if err != nil {
+		return nil, err
 	}
+	p := &Policy{freq: freq}
+	p.set = prioindex.New(func(c media.Clip) { p.OnInsert(c, 0) })
 	for _, o := range opts {
 		o(p)
 	}
 	return p, nil
 }
 
-// Scan switches the policy to the original sort-per-call victim selection;
-// decisions are identical either way.
-func (p *Policy) Scan() *Policy { p.scan = true; return p }
-
-// keyFor computes a clip's index key. The scan orders victims by (byte-freq
-// asc, size desc, id asc); size-descending is encoded as Last = -size so the
-// shared ascending key ordering reproduces it exactly.
-func (p *Policy) keyFor(c media.Clip) prioindex.Key {
-	return prioindex.Key{P: p.ByteFreq(c), Last: vtime.Time(-c.Size), ID: c.ID}
-}
+// Scan switches the policy to linear-scan victim selection; decisions are
+// identical either way.
+func (p *Policy) Scan() *Policy { p.set.Scan(); return p }
 
 // MustNew is like New but panics on error; for experiment setup.
 func MustNew(frequencies []float64, opts ...Option) *Policy {
@@ -106,27 +98,16 @@ func (p *Policy) Name() string {
 
 // SetFrequencies replaces the frequency vector, e.g. when the request
 // distribution shifts at an experiment phase boundary (Section 4.4.1 gives
-// Simple the accurate frequencies of the current distribution). The resident
-// index is rebuilt under the new byte-freqs.
+// Simple the accurate frequencies of the current distribution). The ranked
+// set is emptied; the next selection adopts every resident under the new
+// byte-freqs.
 func (p *Policy) SetFrequencies(frequencies []float64) error {
-	fresh, err := New(frequencies)
+	freq, err := checked(frequencies)
 	if err != nil {
 		return err
 	}
-	p.freq = fresh.freq
-	if !p.scan && p.idx.Len() > 0 {
-		clips := make([]media.Clip, 0, p.idx.Len())
-		p.idx.Ascend(func(_ prioindex.Key, c media.Clip) bool {
-			clips = append(clips, c)
-			return true
-		})
-		p.idx.Reset()
-		for _, c := range clips {
-			k := p.keyFor(c)
-			p.idx.Put(k, c)
-			p.keys[c.ID] = k
-		}
-	}
+	p.freq = freq
+	p.set.Reset()
 	return nil
 }
 
@@ -149,98 +130,25 @@ func (p *Policy) Admit(media.Clip, vtime.Time) bool { return true }
 
 // Victims implements core.Policy: evict resident clips in ascending
 // byte-freq order until need bytes are freed. Ties prefer the larger clip
-// (freeing more space), then the lower id, keeping runs deterministic. In
-// indexed mode (the default) the victims are an allocation-free prefix walk
-// of the byte-freq index instead of a per-call sort.
-func (p *Policy) Victims(incoming media.Clip, view core.ResidentView, need media.Bytes, _ vtime.Time) []media.ClipID {
-	if !p.scan {
-		return p.victimsIndexed(view, need)
-	}
-	resident := core.CollectResidents(view)
-	sort.Slice(resident, func(i, j int) bool {
-		bi, bj := p.ByteFreq(resident[i]), p.ByteFreq(resident[j])
-		if bi != bj {
-			return bi < bj
-		}
-		if resident[i].Size != resident[j].Size {
-			return resident[i].Size > resident[j].Size
-		}
-		return resident[i].ID < resident[j].ID
-	})
-	var out []media.ClipID
-	var freed media.Bytes
-	for _, c := range resident {
-		if freed >= need {
-			break
-		}
-		out = append(out, c.ID)
-		freed += c.Size
-	}
-	return out
+// (freeing more space), then the lower id, keeping runs deterministic.
+func (p *Policy) Victims(_ media.Clip, view core.ResidentView, need media.Bytes, _ vtime.Time) []media.ClipID {
+	ids, _ := p.set.Prefix(view, need)
+	return ids
 }
 
-// victimsIndexed walks the byte-freq index collecting the same ascending
-// prefix the scan's sort produced.
-func (p *Policy) victimsIndexed(view core.ResidentView, need media.Bytes) []media.ClipID {
-	if p.idx.Len() != view.NumResident() {
-		// A clip became resident without OnInsert (or stale state): rebuild
-		// the index from the authoritative resident view.
-		p.idx.Reset()
-		clear(p.keys)
-		view.ForEachResident(func(c media.Clip) bool {
-			k := p.keyFor(c)
-			p.idx.Put(k, c)
-			p.keys[c.ID] = k
-			return true
-		})
-	}
-	p.out = p.out[:0]
-	var freed media.Bytes
-	p.idx.Ascend(func(_ prioindex.Key, c media.Clip) bool {
-		if freed >= need {
-			return false
-		}
-		p.out = append(p.out, c.ID)
-		freed += c.Size
-		return true
-	})
-	if len(p.out) == 0 {
-		return nil
-	}
-	return p.out
-}
-
-// OnInsert implements core.Policy: the new resident enters the byte-freq
-// index.
+// OnInsert implements core.Policy: the new resident is ranked by byte-freq.
+// Size-descending is encoded as Last = -size so the set's ascending key
+// order reproduces (byte-freq asc, size desc, id asc) exactly.
 func (p *Policy) OnInsert(clip media.Clip, _ vtime.Time) {
-	if p.scan {
-		return
-	}
-	k := p.keyFor(clip)
-	p.idx.Put(k, clip)
-	p.keys[clip.ID] = k
+	p.set.Put(clip, p.ByteFreq(clip), vtime.Time(-clip.Size))
 }
 
 // OnEvict implements core.Policy.
-func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
-	if p.scan {
-		return
-	}
-	if k, ok := p.keys[id]; ok {
-		p.idx.Delete(k)
-		delete(p.keys, id)
-	}
-}
+func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) { p.set.Drop(id) }
 
 // Reset implements core.Policy. Simple's frequency knowledge is static; only
-// the resident index empties.
-func (p *Policy) Reset() {
-	if !p.scan {
-		p.idx.Reset()
-		clear(p.keys)
-	}
-	p.out = p.out[:0]
-}
+// the ranked set empties.
+func (p *Policy) Reset() { p.set.Reset() }
 
 // Variant wraps a Simple policy with the NoCacheColder admission rule. The
 // wrapper needs the resident view at admission time, so it intercepts the
@@ -270,29 +178,10 @@ func (v *Variant) Bind(view core.ResidentView) { v.view = view }
 // Admit implements core.Policy for the variant: a missed clip is cached only
 // when it fits in free space, or when its byte-freq exceeds the minimum
 // byte-freq among resident clips (i.e. it would displace a colder clip).
-// With the index in sync the coldest resident is the index minimum — O(log n)
-// instead of a full scan; otherwise an allocation-free early-exit walk.
 func (v *Variant) Admit(clip media.Clip, _ vtime.Time) bool {
-	if v.view == nil {
+	if v.view == nil || clip.Size <= v.view.FreeBytes() {
 		return true
 	}
-	if clip.Size <= v.view.FreeBytes() {
-		return true
-	}
-	in := v.ByteFreq(clip)
-	if !v.scan && v.idx.Len() == v.view.NumResident() {
-		if k, _, ok := v.idx.Min(); ok {
-			return k.P < in
-		}
-		return false
-	}
-	admit := false
-	v.view.ForEachResident(func(c media.Clip) bool {
-		if v.ByteFreq(c) < in {
-			admit = true
-			return false
-		}
-		return true
-	})
-	return admit
+	coldest, ok := v.set.Min(v.view)
+	return ok && coldest.P < v.ByteFreq(clip)
 }

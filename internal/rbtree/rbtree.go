@@ -3,8 +3,8 @@
 //
 // The paper's Section 5 names efficient victim selection as future work:
 // "This may require tree-based data structures to minimize the complexity
-// of identifying a victim clip." This package is that substrate: the fast
-// LRU-SK implementation (policy/lrusk.Fast) keeps per-size-class trees of
+// of identifying a victim clip." This package is that substrate: the
+// LRU-SK index (policy/lrusk) keeps per-size-class trees of
 // resident clips ordered by their K-th-last reference time, giving
 // O(log n) insert/delete and O(1) minimum instead of an O(n) scan.
 //
