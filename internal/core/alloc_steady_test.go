@@ -1,23 +1,25 @@
 package core_test
 
-// alloc_steady_test.go gates the ISSUE 4 tentpole's allocation guarantee: in
-// steady state (cache warm, evictions ongoing) the indexed victim-selection
-// paths must not allocate per Victims call. The policies measured here are
-// the walk-only selectors whose Victims has no side effects beyond reusable
-// buffers; the pop-based selectors (LRU-SK, DYNSimple) mutate their indexes
-// per call and are covered by the differential and property suites instead.
-// `make alloccheck` runs this file alongside the request-path gates.
+// alloc_steady_test.go gates the allocation guarantee of indexed victim
+// selection: in steady state (cache warm, evictions ongoing) a Victims call
+// must not allocate. Every indexed selection is a walk — of one ordered tree
+// (prioindex.Set), or of per-class cursors (prioindex.Classed) — into buffers
+// the policy reuses, and changes no rank, so every indexed policy is measured
+// here; IGD, which scans, is not. `make alloccheck` runs this file alongside
+// the request-path gates.
 
 import (
 	"testing"
 
 	"mediacache/internal/core"
 	"mediacache/internal/media"
+	"mediacache/internal/policy/dynsimple"
 	"mediacache/internal/policy/gdfreq"
 	"mediacache/internal/policy/gdsp"
 	"mediacache/internal/policy/greedydual"
 	"mediacache/internal/policy/lfu"
 	"mediacache/internal/policy/lruk"
+	"mediacache/internal/policy/lrusk"
 	"mediacache/internal/policy/random"
 	"mediacache/internal/policy/simple"
 	"mediacache/internal/vtime"
@@ -57,8 +59,8 @@ func steadyVictimsAllocs(t *testing.T, policy core.Policy) float64 {
 }
 
 // TestVictimsZeroAllocsSteadyState is the acceptance gate for the indexed
-// eviction core: GreedyDual and LRU-K (and the other walk-only selectors)
-// must select victims with zero allocations per call once warm.
+// eviction core: every indexed policy must select victims with zero
+// allocations per call once warm.
 func TestVictimsZeroAllocsSteadyState(t *testing.T) {
 	uniform := make([]float64, media.PaperRepository().N())
 	for i := range uniform {
@@ -69,6 +71,8 @@ func TestVictimsZeroAllocsSteadyState(t *testing.T) {
 		gdfreq.New(nil, 42),
 		gdsp.MustNew(nil, 0, 42),
 		lruk.MustNew(media.PaperRepository().N(), 2),
+		lrusk.MustNew(media.PaperRepository().N(), 2),
+		dynsimple.MustNew(media.PaperRepository().N(), 2),
 		lfu.New(),
 		lfu.NewDA(),
 		simple.MustNew(uniform),

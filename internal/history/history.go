@@ -32,6 +32,8 @@ type Tracker struct {
 	k     int
 	n     int
 	rings []ring
+	// onForget, when set, hears of every history Forget discards.
+	onForget func(media.ClipID)
 }
 
 // ring is a fixed-capacity buffer of the most recent reference times for one
@@ -209,6 +211,23 @@ func (t *Tracker) Forget(id media.ClipID) {
 		return
 	}
 	t.rings[id-1] = ring{times: t.rings[id-1].times}
+	if t.onForget != nil {
+		t.onForget(id)
+	}
+}
+
+// OnForget registers fn to hear of every clip whose history Forget (and so
+// PruneOlderThan) discards. A policy that keeps residents ranked by this
+// history registers here, so that whoever prunes the tracker it exposes
+// cannot leave a rank computed from references that no longer exist.
+func (t *Tracker) OnForget(fn func(media.ClipID)) { t.onForget = fn }
+
+// Reset discards every clip's history without notifying OnForget: the
+// owner resetting its tracker resets what it derived from it too.
+func (t *Tracker) Reset() {
+	for i := range t.rings {
+		t.rings[i] = ring{times: t.rings[i].times}
+	}
 }
 
 // PruneOlderThan forgets the history of every clip whose most recent

@@ -229,6 +229,8 @@ func TestForget(t *testing.T) {
 
 func TestPruneOlderThan(t *testing.T) {
 	tr := NewTracker(3, 2)
+	var heard []media.ClipID
+	tr.OnForget(func(id media.ClipID) { heard = append(heard, id) })
 	tr.Observe(1, 10)
 	tr.Observe(2, 90)
 	dropped := tr.PruneOlderThan(100, 50)
@@ -240,6 +242,16 @@ func TestPruneOlderThan(t *testing.T) {
 	}
 	if tr.Tracked(2) != 1 {
 		t.Fatal("clip 2 should survive")
+	}
+	if len(heard) != 1 || heard[0] != 1 {
+		t.Fatalf("OnForget heard %v, want [1]", heard)
+	}
+	tr.Reset()
+	if tr.TrackedClips() != 0 || tr.Count(2) != 0 {
+		t.Fatal("Reset should clear every history")
+	}
+	if len(heard) != 1 {
+		t.Fatalf("Reset must not notify OnForget, heard %v", heard)
 	}
 }
 

@@ -1,9 +1,12 @@
 package conformance
 
 import (
+	"slices"
 	"testing"
 
 	"mediacache/internal/core"
+	"mediacache/internal/fiverule"
+	"mediacache/internal/history"
 	"mediacache/internal/media"
 	"mediacache/internal/policy/dynsimple"
 	"mediacache/internal/policy/gdfreq"
@@ -13,18 +16,26 @@ import (
 	"mediacache/internal/policy/lruk"
 	"mediacache/internal/policy/lrusk"
 	"mediacache/internal/policy/simple"
+	"mediacache/internal/vtime"
 	"mediacache/internal/workload"
 	"mediacache/internal/zipf"
 )
 
-// evictionLog records the exact victim ID sequence an engine produces.
+// victim is one step of a victim sequence: a clip evicted outright, or (on a
+// segmented cache) trimmed and left resident.
+type victim struct {
+	id      media.ClipID
+	trimmed bool
+}
+
+// evictionLog records the exact victim sequence an engine produces.
 type evictionLog struct {
-	ids []media.ClipID
+	victims []victim
 }
 
 func (l *evictionLog) Observe(ev core.Event) {
-	if ev.Type == core.EventEviction {
-		l.ids = append(l.ids, ev.Clip.ID)
+	if ev.Type == core.EventEviction || ev.Type == core.EventTrim {
+		l.victims = append(l.victims, victim{ev.Clip.ID, ev.Type == core.EventTrim})
 	}
 }
 
@@ -64,9 +75,18 @@ func diffPairs() []diffPair {
 		{"lruk-k1",
 			func(n int) core.Policy { return lruk.MustNew(n, 1) },
 			func(n int) core.Policy { return lruk.MustNew(n, 1).Scan() }},
+		{"lruk-k3",
+			func(n int) core.Policy { return lruk.MustNew(n, 3) },
+			func(n int) core.Policy { return lruk.MustNew(n, 3).Scan() }},
 		{"lrusk",
 			func(n int) core.Policy { return lrusk.MustNew(n, 2) },
 			func(n int) core.Policy { return lrusk.MustNew(n, 2).Scan() }},
+		{"lrusk-k1",
+			func(n int) core.Policy { return lrusk.MustNew(n, 1) },
+			func(n int) core.Policy { return lrusk.MustNew(n, 1).Scan() }},
+		{"lrusk-k3",
+			func(n int) core.Policy { return lrusk.MustNew(n, 3) },
+			func(n int) core.Policy { return lrusk.MustNew(n, 3).Scan() }},
 		{"lfu",
 			func(n int) core.Policy { return lfu.New() },
 			func(n int) core.Policy { return lfu.New().Scan() }},
@@ -79,76 +99,152 @@ func diffPairs() []diffPair {
 		{"dynsimple",
 			func(n int) core.Policy { return dynsimple.MustNew(n, 2) },
 			func(n int) core.Policy { return dynsimple.MustNew(n, 2).Scan() }},
+		{"dynsimple-k1",
+			func(n int) core.Policy { return dynsimple.MustNew(n, 1) },
+			func(n int) core.Policy { return dynsimple.MustNew(n, 1).Scan() }},
+		// K=32 is what Figures 5b/6a sweep: 198 classes on the paper repository.
+		{"dynsimple-k32",
+			func(n int) core.Policy { return dynsimple.MustNew(n, 32) },
+			func(n int) core.Policy { return dynsimple.MustNew(n, 32).Scan() }},
 		{"dynsimple-no-refine",
 			func(n int) core.Policy { return dynsimple.MustNew(n, 2, dynsimple.WithoutRefinement()) },
 			func(n int) core.Policy { return dynsimple.MustNew(n, 2, dynsimple.WithoutRefinement()).Scan() }},
 	}
 }
 
+// diffDrive is one way of driving an indexed policy and its scan twin side by
+// side on the paper repository.
+type diffDrive struct {
+	ratio    float64
+	seed     uint64
+	requests int
+	// warm clips are placed before the first request, skipping the miss and
+	// admission path entirely.
+	warm []media.ClipID
+	// segmented drives byte ranges against a segmented cache with a pinned
+	// prefix, where a victim can be trimmed and stay resident.
+	segmented bool
+	// retention, when positive, prunes the reference history the policy
+	// exposes through Tracker, as sim.FiveRule does: whatever the policy
+	// derived from a forgotten history must be forgotten with it. Pairs
+	// without a tracker skip the drive.
+	retention vtime.Duration
+}
+
 // runDifferential drives the indexed policy and its scan twin through one
 // identical trace and requires identical outcome sequences, identical victim
-// ID sequences (in eviction order), and identical final resident sets.
-func runDifferential(t *testing.T, pair diffPair, ratio float64, seed uint64, requests int, warm []media.ClipID) {
+// sequences (in eviction order, trims included), and identical final
+// resident sets.
+func runDifferential(t *testing.T, pair diffPair, d diffDrive) {
 	t.Helper()
 	repo := media.PaperRepository()
-	logIdx, logScan := &evictionLog{}, &evictionLog{}
-	cIdx, err := core.New(repo, repo.CacheSizeForRatio(ratio), pair.indexed(repo.N()), core.WithObserver(logIdx))
-	if err != nil {
-		t.Fatal(err)
+	dist := zipf.MustNew(repo.N(), zipf.DefaultMean)
+	var (
+		caches  [2]*core.Cache
+		logs    [2]evictionLog
+		pruners [2]*fiverule.Pruner
+	)
+	for i, build := range []func(int) core.Policy{pair.indexed, pair.scan} {
+		policy := build(repo.N())
+		opts := []core.Option{core.WithObserver(&logs[i])}
+		if d.segmented {
+			opts = append(opts, core.WithSegments(64*media.MB), core.WithPrefixAdmission(2))
+		}
+		c, err := core.New(repo, repo.CacheSizeForRatio(d.ratio), policy, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Warm(d.warm)
+		caches[i] = c
+		if d.retention > 0 {
+			tracked, ok := policy.(interface{ Tracker() *history.Tracker })
+			if !ok {
+				return
+			}
+			// A rule whose break-even interval is the retention.
+			rule := fiverule.Rule{NetworkCostPerByte: float64(d.retention), MemoryCostPerBytePerTick: 1, AvgClipBytes: 16, MetadataBytes: 16}
+			if pruners[i], err = fiverule.NewPruner(rule, tracked.Tracker(), d.retention/2+1); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	cScan, err := core.New(repo, repo.CacheSizeForRatio(ratio), pair.scan(repo.N()), core.WithObserver(logScan))
-	if err != nil {
-		t.Fatal(err)
+	// next issues one request to cache i and returns its comparable result.
+	var next func(i int) (any, error)
+	if d.segmented {
+		var gens [2]*workload.RangeGenerator
+		for i := range gens {
+			gen, err := workload.NewRangeGenerator(repo, dist, d.seed, workload.DefaultRangeConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			gens[i] = gen
+		}
+		next = func(i int) (any, error) {
+			req := gens[i].Next()
+			return caches[i].RequestRange(req.Clip, req.Start, req.Length)
+		}
+	} else {
+		gens := [2]*workload.Generator{workload.MustNewGenerator(dist, d.seed), workload.MustNewGenerator(dist, d.seed)}
+		next = func(i int) (any, error) { return caches[i].Request(gens[i].Next()) }
 	}
-	if len(warm) > 0 {
-		cIdx.Warm(warm)
-		cScan.Warm(warm)
-	}
-	gen := workload.MustNewGenerator(zipf.MustNew(repo.N(), zipf.DefaultMean), seed)
-	for i := 0; i < requests; i++ {
-		id := gen.Next()
-		a, errA := cIdx.Request(id)
-		b, errB := cScan.Request(id)
+	for n := 0; n < d.requests; n++ {
+		a, errA := next(0)
+		b, errB := next(1)
 		if errA != nil || errB != nil {
-			t.Fatalf("request %d (clip %d): indexed err=%v scan err=%v", i, id, errA, errB)
+			t.Fatalf("%+v request %d: indexed err=%v scan err=%v", d, n, errA, errB)
 		}
 		if a != b {
-			t.Fatalf("request %d (clip %d): outcome diverged indexed=%v scan=%v", i, id, a, b)
+			t.Fatalf("%+v request %d: outcome diverged indexed=%+v scan=%+v", d, n, a, b)
+		}
+		for i, pruner := range pruners {
+			if pruner == nil {
+				continue
+			}
+			if _, err := pruner.Tick(caches[i].Now()); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if len(logIdx.ids) != len(logScan.ids) {
-		t.Fatalf("victim counts diverge: indexed=%d scan=%d", len(logIdx.ids), len(logScan.ids))
+	if len(logs[0].victims) != len(logs[1].victims) {
+		t.Fatalf("%+v: victim counts diverge: indexed=%d scan=%d", d, len(logs[0].victims), len(logs[1].victims))
 	}
-	for i := range logIdx.ids {
-		if logIdx.ids[i] != logScan.ids[i] {
-			t.Fatalf("victim %d diverged: indexed=%d scan=%d", i, logIdx.ids[i], logScan.ids[i])
+	for i, v := range logs[0].victims {
+		if v != logs[1].victims[i] {
+			t.Fatalf("%+v: victim %d diverged: indexed=%+v scan=%+v", d, i, v, logs[1].victims[i])
 		}
 	}
-	ra, rb := core.CollectResidentIDs(cIdx), core.CollectResidentIDs(cScan)
-	if len(ra) != len(rb) {
-		t.Fatalf("resident counts diverge: indexed=%d scan=%d", len(ra), len(rb))
+	if !slices.Equal(core.CollectResidentIDs(caches[0]), core.CollectResidentIDs(caches[1])) {
+		t.Fatalf("%+v: resident sets diverge", d)
 	}
-	for i := range ra {
-		if ra[i] != rb[i] {
-			t.Fatal("resident sets diverge")
-		}
+	if logs[0].victims == nil {
+		t.Fatalf("%+v: trace produced no evictions; differential check vacuous", d)
 	}
-	if logIdx.ids == nil {
-		t.Fatal("trace produced no evictions; differential check vacuous")
+	if pruners[0] != nil && pruners[0].Dropped() == 0 {
+		t.Fatalf("%+v: pruner never forgot a history; pruned drive vacuous", d)
 	}
 }
 
 // TestIndexedMatchesScan is the correctness proof for the indexed victim
 // structures: on randomized Zipf traces every indexed policy must produce the
-// byte-identical victim ID sequence its original O(n) scan produced.
+// byte-identical victim ID sequence its linear scan produces — on whole
+// clips, on a segmented cache whose trimmed victims stay resident, and with
+// the reference history pruned underneath the policy.
 func TestIndexedMatchesScan(t *testing.T) {
+	var drives []diffDrive
+	for _, ratio := range []float64{0.05, 0.0125} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			drives = append(drives, diffDrive{ratio: ratio, seed: seed, requests: 2500})
+		}
+	}
+	drives = append(drives,
+		diffDrive{ratio: 0.05, seed: 4, requests: 2500, segmented: true},
+		diffDrive{ratio: 0.05, seed: 5, requests: 2500, retention: 50},
+		diffDrive{ratio: 0.125, seed: 6, requests: 2500, retention: 200})
 	for _, pair := range diffPairs() {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
-			for _, ratio := range []float64{0.05, 0.0125} {
-				for seed := uint64(1); seed <= 3; seed++ {
-					runDifferential(t, pair, ratio, seed, 2500, nil)
-				}
+			for _, d := range drives {
+				runDifferential(t, pair, d)
 			}
 		})
 	}
@@ -162,7 +258,7 @@ func TestIndexedMatchesScanWarm(t *testing.T) {
 	for _, pair := range diffPairs() {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
-			runDifferential(t, pair, 0.05, 17, 2000, warm)
+			runDifferential(t, pair, diffDrive{ratio: 0.05, seed: 17, requests: 2000, warm: warm})
 		})
 	}
 }

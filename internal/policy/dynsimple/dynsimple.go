@@ -22,13 +22,14 @@
 package dynsimple
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mediacache/internal/core"
 	"mediacache/internal/history"
 	"mediacache/internal/media"
-	"mediacache/internal/rbtree"
+	"mediacache/internal/policy/prioindex"
 	"mediacache/internal/vtime"
 )
 
@@ -37,23 +38,23 @@ import (
 const DefaultK = 2
 
 // Policy is the DYNSimple technique. It implements core.Policy.
+//
+// The estimated byte-freq m/((now − oldest)·s), for m tracked references
+// the oldest at time oldest, depends on the current time, so no single static
+// order exists — but for fixed m and s it ascends exactly as oldest ascends,
+// whatever now is. The residents therefore sit in a prioindex.Classed set,
+// one class per (size, tracked-count) — at most S·(K+1) for S distinct sizes,
+// 18 for the paper's 6 at K=2 — and a phase-1 victim costs one comparison per
+// class instead of a sort of the resident set.
 type Policy struct {
 	k       int
-	n       int
 	tracker *history.Tracker
 	// refine enables Figure 4's second phase. Disabling it is the
 	// BenchmarkDYNSimpleRefinement ablation: victims are then evicted in
 	// plain ascending byte-freq order.
 	refine bool
-
-	// scan disables the class index and restores the original
-	// sort-per-Victims-call selection (the differential-test baseline).
-	scan     bool
-	classes  map[classKey]*rbtree.Tree[entryKey, media.Clip]
-	order    []classKey
-	loc      map[media.ClipID]dsLoc
-	gathered []media.Clip
-	out      []media.ClipID
+	set    *prioindex.Classed
+	out    []media.ClipID
 }
 
 var _ core.Policy = (*Policy)(nil)
@@ -76,23 +77,20 @@ func New(n, k int, opts ...Option) (*Policy, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("dynsimple: K must be positive, got %d", k)
 	}
-	p := &Policy{
-		k:       k,
-		n:       n,
-		tracker: history.NewTracker(n, k),
-		refine:  true,
-		classes: make(map[classKey]*rbtree.Tree[entryKey, media.Clip]),
-		loc:     make(map[media.ClipID]dsLoc),
-	}
+	p := &Policy{k: k, tracker: history.NewTracker(n, k), refine: true}
+	p.set = prioindex.NewClassed(p.rank, better)
+	// A resident whose history is pruned leaves the set, to be adopted under
+	// what history it has at the next selection.
+	p.tracker.OnForget(p.set.Drop)
 	for _, o := range opts {
 		o(p)
 	}
 	return p, nil
 }
 
-// Scan switches the policy to the original sort-per-call victim selection;
-// decisions are identical either way.
-func (p *Policy) Scan() *Policy { p.scan = true; return p }
+// Scan switches the policy to linear-scan victim selection; decisions are
+// identical either way.
+func (p *Policy) Scan() *Policy { p.set.Scan(); return p }
 
 // MustNew is like New but panics on error; for experiment setup.
 func MustNew(n, k int, opts ...Option) *Policy {
@@ -123,106 +121,87 @@ func (p *Policy) EstimatedFrequencies(now vtime.Time) []float64 {
 	return p.tracker.EstimatedFrequencies(now)
 }
 
+// rank puts a clip in the tier of its tracked-reference count, keyed by the
+// oldest of them (zero when it has none), then id.
+func (p *Policy) rank(c media.Clip) (tier int, oldest float64, _ vtime.Time) {
+	t, _ := p.tracker.OldestTracked(c.ID)
+	return p.tracker.Tracked(c.ID), float64(t), 0
+}
+
+// byteFreq is λ/s with λ estimated as history.Tracker.Rate does: tracked
+// references over the span back to the oldest, zero without history.
+func byteFreq(e prioindex.Entry, now vtime.Time) float64 {
+	rate := float64(e.Tier)
+	if span := float64(now) - e.P; span > 0 {
+		rate /= span
+	}
+	return rate / float64(e.Clip.Size)
+}
+
+// better is phase 1's order: ascending estimated byte-freq; ties prefer the
+// larger clip, then the lower id, keeping runs deterministic.
+func better(a, b prioindex.Entry, now vtime.Time) bool {
+	fa, fb := byteFreq(a, now), byteFreq(b, now)
+	switch {
+	case fa != fb:
+		return fa < fb
+	case a.Clip.Size != b.Clip.Size:
+		return a.Clip.Size > b.Clip.Size
+	default:
+		return a.ID < b.ID
+	}
+}
+
 // ByteFreq returns the estimated per-byte access rate λ_i / s_i used to rank
 // victims. Normalization by the total arrival rate is omitted since it does
 // not affect the ordering.
 func (p *Policy) ByteFreq(c media.Clip, now vtime.Time) float64 {
-	return p.tracker.Rate(c.ID, now) / float64(c.Size)
+	return byteFreq(p.set.Rank(c), now)
 }
 
-// Record implements core.Policy. In indexed mode a resident clip is re-keyed
-// under its post-reference (count, oldest) class position.
+// Record implements core.Policy: a resident clip is re-ranked under its
+// post-reference history.
 func (p *Policy) Record(clip media.Clip, now vtime.Time, _ bool) {
-	if !p.scan && p.unindexClip(clip.ID) {
-		p.tracker.Observe(clip.ID, now)
-		p.indexClip(clip)
-		return
-	}
 	p.tracker.Observe(clip.ID, now)
+	p.set.Rerank(clip)
 }
 
 // Admit implements core.Policy: every referenced clip is materialized
 // (Section 2's default assumption).
 func (p *Policy) Admit(media.Clip, vtime.Time) bool { return true }
 
-// Victims implements core.Policy using the two-phase Figure 4 algorithm. In
-// indexed mode (the default) phase 1 pops per-class tree minima instead of
-// sorting the whole resident set; decisions match the scan exactly.
+// Victims implements core.Policy using the two-phase Figure 4 algorithm.
 func (p *Policy) Victims(_ media.Clip, view core.ResidentView, need media.Bytes, now vtime.Time) []media.ClipID {
-	if !p.scan {
-		return p.victimsIndexed(view, need, now)
+	// Phase 1: ascending estimated byte-freq until the incoming clip fits.
+	victims := p.set.Prefix(view, need, now)
+	if p.refine {
+		// Phase 2: evict in descending size order, stopping once enough
+		// space is free so that unneeded small victims are spared.
+		slices.SortFunc(victims, func(a, b media.Clip) int {
+			return cmp.Or(cmp.Compare(b.Size, a.Size), cmp.Compare(a.ID, b.ID))
+		})
 	}
-	candidates := core.CollectResidents(view)
-	// Phase 1: ascending estimated byte-freq; ties prefer the larger clip,
-	// then the lower id, keeping runs deterministic.
-	sort.Slice(candidates, func(i, j int) bool {
-		bi, bj := p.ByteFreq(candidates[i], now), p.ByteFreq(candidates[j], now)
-		if bi != bj {
-			return bi < bj
-		}
-		if candidates[i].Size != candidates[j].Size {
-			return candidates[i].Size > candidates[j].Size
-		}
-		return candidates[i].ID < candidates[j].ID
-	})
-	var victims []media.Clip
-	var gathered media.Bytes
-	for _, c := range candidates {
-		if gathered >= need {
-			break
-		}
-		victims = append(victims, c)
-		gathered += c.Size
-	}
-	if !p.refine {
-		out := make([]media.ClipID, len(victims))
-		for i, c := range victims {
-			out[i] = c.ID
-		}
-		return out
-	}
-	// Phase 2: evict in descending size order, stopping once enough space is
-	// free so that unneeded small victims are spared.
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].Size != victims[j].Size {
-			return victims[i].Size > victims[j].Size
-		}
-		return victims[i].ID < victims[j].ID
-	})
-	var out []media.ClipID
+	p.out = p.out[:0]
 	var freed media.Bytes
 	for _, c := range victims {
 		if freed >= need {
 			break
 		}
-		out = append(out, c.ID)
+		p.out = append(p.out, c.ID)
 		freed += c.Size
 	}
-	return out
+	return p.out
 }
 
-// OnInsert implements core.Policy: the new resident enters the class index.
-func (p *Policy) OnInsert(clip media.Clip, _ vtime.Time) {
-	if !p.scan {
-		p.indexClip(clip)
-	}
-}
+// OnInsert implements core.Policy.
+func (p *Policy) OnInsert(clip media.Clip, _ vtime.Time) { p.set.Put(clip) }
 
 // OnEvict implements core.Policy. History survives eviction — that is the
-// point of DYNSimple's non-resident bookkeeping; only the index entry is
-// dropped (a no-op for victims popBest already removed).
-func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
-	if !p.scan {
-		p.unindexClip(id)
-	}
-}
+// point of DYNSimple's non-resident bookkeeping; only the rank is dropped.
+func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) { p.set.Drop(id) }
 
 // Reset implements core.Policy.
 func (p *Policy) Reset() {
-	p.tracker = history.NewTracker(p.n, p.k)
-	p.classes = make(map[classKey]*rbtree.Tree[entryKey, media.Clip])
-	p.order = nil
-	p.loc = make(map[media.ClipID]dsLoc)
-	p.gathered = p.gathered[:0]
-	p.out = p.out[:0]
+	p.tracker.Reset()
+	p.set.Reset()
 }

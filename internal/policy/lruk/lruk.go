@@ -20,23 +20,15 @@ import (
 	"mediacache/internal/core"
 	"mediacache/internal/history"
 	"mediacache/internal/media"
-	"mediacache/internal/rbtree"
+	"mediacache/internal/policy/prioindex"
 	"mediacache/internal/vtime"
 )
 
 // Policy is the LRU-K technique. It implements core.Policy.
 type Policy struct {
 	k       int
-	n       int
 	tracker *history.Tracker
-
-	// scan disables the ordered index and restores the original O(n²)
-	// scan-per-victim selection (the differential-test baseline).
-	scan    bool
-	full    *rbtree.Tree[fullKey, media.Clip]
-	partial *rbtree.Tree[partialKey, media.Clip]
-	loc     map[media.ClipID]indexLoc
-	out     []media.ClipID
+	set     *prioindex.Set
 }
 
 var _ core.Policy = (*Policy)(nil)
@@ -49,14 +41,17 @@ func New(n, k int) (*Policy, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lruk: K must be positive, got %d", k)
 	}
-	p := &Policy{k: k, n: n, tracker: history.NewTracker(n, k)}
-	p.newTrees()
+	p := &Policy{k: k, tracker: history.NewTracker(n, k)}
+	p.set = prioindex.New(p.rank)
+	// A resident whose history is pruned leaves the set, to be adopted under
+	// what history it has at the next selection.
+	p.tracker.OnForget(p.set.Drop)
 	return p, nil
 }
 
-// Scan switches the policy to the original O(n²) linear-scan victim
-// selection; decisions are identical either way.
-func (p *Policy) Scan() *Policy { p.scan = true; return p }
+// Scan switches the policy to linear-scan victim selection; decisions are
+// identical either way.
+func (p *Policy) Scan() *Policy { p.set.Scan(); return p }
 
 // MustNew is like New but panics on error; for experiment setup.
 func MustNew(n, k int) *Policy {
@@ -77,99 +72,47 @@ func (p *Policy) K() int { return p.k }
 // metadata-pruning extension).
 func (p *Policy) Tracker() *history.Tracker { return p.tracker }
 
-// Record implements core.Policy. In indexed mode a resident clip is re-keyed
-// under its post-reference (t_K, t_last).
-func (p *Policy) Record(clip media.Clip, now vtime.Time, _ bool) {
-	if !p.scan {
-		if _, ok := p.loc[clip.ID]; ok {
-			p.unindex(clip.ID)
-			p.tracker.Observe(clip.ID, now)
-			p.index(clip)
-			return
-		}
+// rank keys clip by (t_K, t_last, id), or (−∞, t_last, id) below K
+// references: a larger Δ_K is a smaller t_K whatever the time, so ascending
+// key order is the victim order — infinite distances first, LRU among
+// themselves.
+func (p *Policy) rank(clip media.Clip) {
+	last, _ := p.tracker.LastTime(clip.ID)
+	tK := math.Inf(-1)
+	if kth, ok := p.tracker.KthLastTime(clip.ID); ok {
+		tK = float64(kth)
 	}
+	p.set.Put(clip, tK, last)
+}
+
+// Record implements core.Policy: a resident clip is re-keyed under its
+// post-reference history.
+func (p *Policy) Record(clip media.Clip, now vtime.Time, _ bool) {
 	p.tracker.Observe(clip.ID, now)
+	if _, ok := p.set.Key(clip.ID); ok {
+		p.rank(clip)
+	}
 }
 
 // Admit implements core.Policy: every referenced clip is materialized.
 func (p *Policy) Admit(media.Clip, vtime.Time) bool { return true }
 
-// Victims implements core.Policy: repeatedly pick the resident clip with the
-// maximum backward-K distance until need bytes are covered. In indexed mode
-// (the default) the victims come from an ordered walk of the backward-K
-// index — O(victims·log n) and allocation-free instead of the scan's O(n²)
-// with a fresh taken-set per call.
-func (p *Policy) Victims(_ media.Clip, view core.ResidentView, need media.Bytes, now vtime.Time) []media.ClipID {
-	if !p.scan {
-		return p.victimsIndexed(view, need)
-	}
-	resident := core.CollectResidents(view)
-	taken := make(map[media.ClipID]bool, len(resident))
-	var out []media.ClipID
-	var freed media.Bytes
-	for freed < need && len(out) < len(resident) {
-		best := -1
-		var bestDist float64
-		var bestLast vtime.Time
-		for i, c := range resident {
-			if taken[c.ID] {
-				continue
-			}
-			dist := p.tracker.BackwardKDistance(c.ID, now)
-			last, _ := p.tracker.LastTime(c.ID)
-			if best == -1 || less(bestDist, bestLast, resident[best], dist, last, c) {
-				best, bestDist, bestLast = i, dist, last
-			}
-		}
-		if best == -1 {
-			break
-		}
-		c := resident[best]
-		taken[c.ID] = true
-		out = append(out, c.ID)
-		freed += c.Size
-	}
-	return out
+// Victims implements core.Policy: the clips of maximum backward-K distance,
+// in order, until need bytes are covered.
+func (p *Policy) Victims(_ media.Clip, view core.ResidentView, need media.Bytes, _ vtime.Time) []media.ClipID {
+	ids, _ := p.set.Prefix(view, need)
+	return ids
 }
 
-// less reports whether candidate (dist, last, clip) is a better victim than
-// the incumbent. Larger Δ_K wins; among infinite distances the older last
-// reference wins; remaining ties prefer the lower id for determinism.
-func less(incDist float64, incLast vtime.Time, incClip media.Clip,
-	dist float64, last vtime.Time, clip media.Clip) bool {
-	switch {
-	case math.IsInf(dist, 1) && math.IsInf(incDist, 1):
-		if last != incLast {
-			return last < incLast
-		}
-		return clip.ID < incClip.ID
-	case dist != incDist:
-		return dist > incDist
-	case last != incLast:
-		return last < incLast
-	default:
-		return clip.ID < incClip.ID
-	}
-}
-
-// OnInsert implements core.Policy: the new resident enters the index.
-func (p *Policy) OnInsert(clip media.Clip, _ vtime.Time) {
-	if !p.scan {
-		p.index(clip)
-	}
-}
+// OnInsert implements core.Policy.
+func (p *Policy) OnInsert(clip media.Clip, _ vtime.Time) { p.rank(clip) }
 
 // OnEvict implements core.Policy. History is retained across evictions; only
-// the index entry is dropped.
-func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
-	if !p.scan {
-		p.unindex(id)
-	}
-}
+// the rank is dropped.
+func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) { p.set.Drop(id) }
 
 // Reset implements core.Policy.
 func (p *Policy) Reset() {
-	p.tracker = history.NewTracker(p.n, p.k)
-	p.newTrees()
-	p.out = p.out[:0]
+	p.tracker.Reset()
+	p.set.Reset()
 }

@@ -70,8 +70,12 @@ func TestFastReset(t *testing.T) {
 	if p.Tracker().Count(1) != 0 {
 		t.Fatal("Reset must clear history")
 	}
-	if p.idx.len() != 0 || len(p.idx.sizesDesc) != 0 {
-		t.Fatal("Reset must clear indexes")
+	// The classed set is empty too: walked against a cache that holds
+	// nothing, it has no clip left to name.
+	r, _ := media.EquiRepository(5, 10)
+	empty, _ := core.New(r, 20, MustNewFast(5, 2))
+	if v := p.Victims(clip, empty, 10, 2); len(v) != 0 {
+		t.Fatalf("Reset must clear the ranked set, still names %v", v)
 	}
 }
 

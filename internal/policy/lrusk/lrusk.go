@@ -16,21 +16,23 @@ import (
 	"mediacache/internal/core"
 	"mediacache/internal/history"
 	"mediacache/internal/media"
+	"mediacache/internal/policy/prioindex"
 	"mediacache/internal/vtime"
 )
 
 // Policy is the LRU-SK technique. It implements core.Policy.
+//
+// Δ_K(x,t)·s(x) depends on the current time, so no single static order exists
+// across clip sizes — but within one size the order is static: a larger Δ_K
+// is a smaller t_K, whatever t. The residents therefore sit in a
+// prioindex.Classed set, one class per size for complete histories and one
+// for incomplete ones, and a victim costs one comparison per class.
 type Policy struct {
 	k       int
-	n       int
 	tracker *history.Tracker
 	// tree marks the instance NewFast built: it only changes Name.
 	tree bool
-
-	// scan disables the per-size-class tree index and restores the original
-	// O(n)-per-victim linear scan (the differential-test baseline).
-	scan bool
-	idx  *skIndex
+	set  *prioindex.Classed
 	out  []media.ClipID
 }
 
@@ -44,13 +46,17 @@ func New(n, k int) (*Policy, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lrusk: K must be positive, got %d", k)
 	}
-	tracker := history.NewTracker(n, k)
-	return &Policy{k: k, n: n, tracker: tracker, idx: newSKIndex(tracker)}, nil
+	p := &Policy{k: k, tracker: history.NewTracker(n, k)}
+	p.set = prioindex.NewClassed(p.rank, better)
+	// A resident whose history is pruned leaves the set, to be adopted under
+	// what history it has at the next selection.
+	p.tracker.OnForget(p.set.Drop)
+	return p, nil
 }
 
-// Scan switches the policy to the original O(n)-per-victim linear-scan
-// selection; decisions are identical either way.
-func (p *Policy) Scan() *Policy { p.scan = true; return p }
+// Scan switches the policy to linear-scan victim selection; decisions are
+// identical either way.
+func (p *Policy) Scan() *Policy { p.set.Scan(); return p }
 
 // MustNew is like New but panics on error; for experiment setup.
 func MustNew(n, k int) *Policy {
@@ -75,135 +81,73 @@ func (p *Policy) K() int { return p.k }
 // Tracker exposes the underlying reference history.
 func (p *Policy) Tracker() *history.Tracker { return p.tracker }
 
-// Record implements core.Policy. In indexed mode a resident clip is re-keyed
-// under its post-reference (t_K, t_last).
-func (p *Policy) Record(clip media.Clip, now vtime.Time, _ bool) {
-	if !p.scan {
-		if _, resident := p.idx.unindex(clip.ID); resident {
-			p.tracker.Observe(clip.ID, now)
-			p.idx.index(clip)
-			return
-		}
+// rank keys a clip with K references by (t_K, t_last, id) in tier 1, and one
+// with fewer by (−∞, t_last, id) in tier 0 — LRU among themselves.
+func (p *Policy) rank(c media.Clip) (tier int, tK float64, last vtime.Time) {
+	last, _ = p.tracker.LastTime(c.ID)
+	if kth, ok := p.tracker.KthLastTime(c.ID); ok {
+		return 1, float64(kth), last
 	}
+	return 0, math.Inf(-1), last
+}
+
+// score is Δ_K × size at time now; +Inf below K references.
+func score(e prioindex.Entry, now vtime.Time) float64 {
+	return (float64(now) - e.P) * float64(e.Clip.Size)
+}
+
+// better reports whether a is a better victim than b: larger Δ_K×size wins;
+// among infinite scores the larger size wins (maximizing freed space); then
+// the older last reference, then the lower id.
+func better(a, b prioindex.Entry, now vtime.Time) bool {
+	sa, sb := score(a, now), score(b, now)
+	switch {
+	case sa != sb:
+		return sa > sb
+	case math.IsInf(sa, 1) && a.Clip.Size != b.Clip.Size:
+		return a.Clip.Size > b.Clip.Size
+	case a.Last != b.Last:
+		return a.Last < b.Last
+	default:
+		return a.ID < b.ID
+	}
+}
+
+// Score returns the eviction key Δ_K × size for a resident clip; larger
+// means a better victim. Clips with fewer than K references score +Inf.
+func (p *Policy) Score(c media.Clip, now vtime.Time) float64 {
+	return score(p.set.Rank(c), now)
+}
+
+// Record implements core.Policy: a resident clip is re-ranked under its
+// post-reference history.
+func (p *Policy) Record(clip media.Clip, now vtime.Time, _ bool) {
 	p.tracker.Observe(clip.ID, now)
+	p.set.Rerank(clip)
 }
 
 // Admit implements core.Policy.
 func (p *Policy) Admit(media.Clip, vtime.Time) bool { return true }
 
-// Score returns the eviction key Δ_K × size for a resident clip; larger
-// means a better victim. Clips with fewer than K references score +Inf.
-func (p *Policy) Score(c media.Clip, now vtime.Time) float64 {
-	return p.tracker.BackwardKDistance(c.ID, now) * float64(c.Size)
-}
-
-// Victims implements core.Policy: repeatedly evict the clip with the maximum
-// Δ_K × size until need bytes are covered. In indexed mode (the default) the
-// victims come from the shared per-size-class tree index in O(C + log n) per
-// victim, allocation-free; decisions match the scan exactly.
+// Victims implements core.Policy: the clips of maximum Δ_K × size, in order,
+// until need bytes are covered.
 func (p *Policy) Victims(_ media.Clip, view core.ResidentView, need media.Bytes, now vtime.Time) []media.ClipID {
-	if !p.scan {
-		return p.victimsIndexed(view, need, now)
-	}
-	resident := core.CollectResidents(view)
-	taken := make(map[media.ClipID]bool, len(resident))
-	var out []media.ClipID
-	var freed media.Bytes
-	for freed < need && len(out) < len(resident) {
-		best := -1
-		var bestScore float64
-		var bestLast vtime.Time
-		for i, c := range resident {
-			if taken[c.ID] {
-				continue
-			}
-			score := p.Score(c, now)
-			last, _ := p.tracker.LastTime(c.ID)
-			if best == -1 || better(bestScore, bestLast, resident[best], score, last, c) {
-				best, bestScore, bestLast = i, score, last
-			}
-		}
-		if best == -1 {
-			break
-		}
-		c := resident[best]
-		taken[c.ID] = true
-		out = append(out, c.ID)
-		freed += c.Size
-	}
-	return out
-}
-
-// better reports whether the candidate is a better victim than the
-// incumbent: larger Δ_K×size wins; among infinite scores the larger size
-// wins (maximizing freed space), then the older last reference, then the
-// lower id.
-func better(incScore float64, incLast vtime.Time, incClip media.Clip,
-	score float64, last vtime.Time, clip media.Clip) bool {
-	switch {
-	case math.IsInf(score, 1) && math.IsInf(incScore, 1):
-		if clip.Size != incClip.Size {
-			return clip.Size > incClip.Size
-		}
-		if last != incLast {
-			return last < incLast
-		}
-		return clip.ID < incClip.ID
-	case score != incScore:
-		return score > incScore
-	case last != incLast:
-		return last < incLast
-	default:
-		return clip.ID < incClip.ID
-	}
-}
-
-// victimsIndexed pops best victims from the shared class index until need
-// bytes are covered, adopting any resident clip the index does not know
-// about (direct warm placement) first.
-func (p *Policy) victimsIndexed(view core.ResidentView, need media.Bytes, now vtime.Time) []media.ClipID {
-	if p.idx.len() != view.NumResident() {
-		view.ForEachResident(func(c media.Clip) bool {
-			if !p.idx.has(c.ID) {
-				p.idx.index(c)
-			}
-			return true
-		})
-	}
 	p.out = p.out[:0]
-	var freed media.Bytes
-	for freed < need {
-		id, size, ok := p.idx.popBest(now)
-		if !ok {
-			break
-		}
-		p.out = append(p.out, id)
-		freed += size
-	}
-	if len(p.out) == 0 {
-		return nil
+	for _, c := range p.set.Prefix(view, need, now) {
+		p.out = append(p.out, c.ID)
 	}
 	return p.out
 }
 
-// OnInsert implements core.Policy: the new resident enters the index.
-func (p *Policy) OnInsert(clip media.Clip, _ vtime.Time) {
-	if !p.scan {
-		p.idx.index(clip)
-	}
-}
+// OnInsert implements core.Policy.
+func (p *Policy) OnInsert(clip media.Clip, _ vtime.Time) { p.set.Put(clip) }
 
 // OnEvict implements core.Policy. History is retained across evictions; only
-// the index entry is dropped (a no-op for victims popBest already removed).
-func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
-	if !p.scan {
-		p.idx.unindex(id)
-	}
-}
+// the rank is dropped.
+func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) { p.set.Drop(id) }
 
 // Reset implements core.Policy.
 func (p *Policy) Reset() {
-	p.tracker = history.NewTracker(p.n, p.k)
-	p.idx.reset(p.tracker)
-	p.out = p.out[:0]
+	p.tracker.Reset()
+	p.set.Reset()
 }

@@ -1,14 +1,15 @@
-// Package prioindex provides the ranked resident set shared by the
-// function-based replacement techniques (GreedyDual and its descendants,
-// LFU/LFU-DA, Simple).
+// Package prioindex provides the two ranked resident sets the replacement
+// techniques share: Set for those whose order is static (GreedyDual and its
+// descendants, LFU/LFU-DA, Simple, LRU-K), Classed for those whose order is
+// static only within a class (LRU-SK, DYNSimple).
 //
 // Every one of them makes the same greedy move: rank the resident clips by a
 // function and evict the minimum. A Set is that move written once. It holds
 // each resident's Key, ordered by (priority, last-reference, id), and answers
 // the two selections in use — the minimum with its exact ties (the
 // GreedyDual family breaks them with a seeded draw) and the ascending prefix
-// that covers a byte need (LFU, LFU-DA, Simple). A policy on top of it is its
-// priority function and its counters.
+// that covers a byte need (LFU, LFU-DA, Simple, LRU-K). A policy on top of it
+// is its priority function and its counters.
 //
 // The paper's Section 5 names efficient victim selection as future work:
 // "This may require tree-based data structures to minimize the complexity
@@ -17,8 +18,8 @@
 // scan per eviction. Scan switches a Set to its linear-scan twin: the same
 // selections computed under the same key order by a pass over the engine's
 // resident view. It is the differential reference and the benchmark baseline
-// of all five policies, and the only linear-scan selection code they have;
-// package conformance asserts the two modes name identical victims.
+// of the policies on a Set, and the only linear-scan selection code they
+// have; package conformance asserts the two modes name identical victims.
 package prioindex
 
 import (

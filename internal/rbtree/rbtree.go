@@ -4,12 +4,9 @@
 // The paper's Section 5 names efficient victim selection as future work:
 // "This may require tree-based data structures to minimize the complexity
 // of identifying a victim clip." This package is that substrate: the
-// LRU-SK index (policy/lrusk) keeps per-size-class trees of
-// resident clips ordered by their K-th-last reference time, giving
-// O(log n) insert/delete and O(1) minimum instead of an O(n) scan.
-//
-// The tree is deliberately dependency-free and generic so other index
-// structures (e.g. ordered priority snapshots) can reuse it.
+// ranked resident sets of policy/prioindex and the engine's resident index
+// keep their keys in these trees, giving O(log n) insert/delete/successor
+// and an in-order walk instead of an O(n) scan.
 package rbtree
 
 // Tree is an ordered map from K to V. The zero value is not usable; create
@@ -96,6 +93,25 @@ func (t *Tree[K, V]) Max() (K, V, bool) {
 		n = n.right
 	}
 	return n.key, n.value, true
+}
+
+// Next returns the smallest key strictly greater than key, and its value.
+// key itself need not be present.
+func (t *Tree[K, V]) Next(key K) (K, V, bool) {
+	var succ *node[K, V]
+	for n := t.root; n != nil; {
+		if t.less(key, n.key) {
+			succ, n = n, n.left
+		} else {
+			n = n.right
+		}
+	}
+	if succ == nil {
+		var zk K
+		var zv V
+		return zk, zv, false
+	}
+	return succ.key, succ.value, true
 }
 
 // Put inserts key with value, replacing any existing value for the key.

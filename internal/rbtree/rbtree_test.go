@@ -168,6 +168,23 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 			t.Fatalf("keys diverge from model at %d", i)
 		}
 	}
+	// Next is the successor lookup, for keys present or not: from below the
+	// minimum it walks the whole tree in order and then reports the end.
+	at := 0
+	for k, _, ok := tr.Next(-1); ok; k, _, ok = tr.Next(k) {
+		if at == len(want) || k != want[at] {
+			t.Fatalf("Next walk diverges from model at %d (key %d)", at, k)
+		}
+		if _, present := model[k+1]; !present && at+1 < len(want) {
+			if nk, _, _ := tr.Next(k + 1); nk != want[at+1] {
+				t.Fatalf("Next(%d) for an absent key = %d, want %d", k+1, nk, want[at+1])
+			}
+		}
+		at++
+	}
+	if at != len(want) {
+		t.Fatalf("Next walk visited %d of %d keys", at, len(want))
+	}
 }
 
 func TestMatchesModelProperty(t *testing.T) {
