@@ -375,37 +375,47 @@ func BenchmarkEvictionHeavy(b *testing.B) {
 	}
 }
 
-// BenchmarkIGDSelection measures IGD's O(n)-scan victim selection on a large
-// synthetic repository.
+// BenchmarkIGDSelection measures IGD's O(n)-scan victim selection per
+// request: "scan" on a large synthetic repository (20,004 clips, ratio
+// 0.05), "paper" on the paper's 576-clip repository at ratio 0.125 — the
+// Figure 6.a cell the sim-sweep benchmark runs.
 func BenchmarkIGDSelection(b *testing.B) {
-	const nClips = 20004
-	repo, err := media.VariableRepository(nClips)
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name   string
+		nClips int
+		ratio  float64
+	}{
+		{"scan", 20004, 0.05},
+		{"paper", media.PaperRepositorySize, 0.125},
 	}
-	dist := zipf.MustNew(repo.N(), zipf.DefaultMean)
-	b.Run("scan", func(b *testing.B) {
-		p, err := igd.New(repo.N(), 2, sim.DefaultSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cache, err := core.New(repo, repo.CacheSizeForRatio(0.05), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen := workload.MustNewGenerator(dist, sim.DefaultSeed)
-		for i := 0; i < 3000; i++ {
-			if _, err := cache.Request(gen.Next()); err != nil {
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			repo, err := media.VariableRepository(tc.nClips)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cache.Request(gen.Next()); err != nil {
+			p, err := igd.New(repo.N(), 2, sim.DefaultSeed)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			cache, err := core.New(repo, repo.CacheSizeForRatio(tc.ratio), p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gen := workload.MustNewGenerator(zipf.MustNew(repo.N(), zipf.DefaultMean), sim.DefaultSeed)
+			for i := 0; i < 3000; i++ {
+				if _, err := cache.Request(gen.Next()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cache.Request(gen.Next()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkBlockRequest measures block-grained request cost at several

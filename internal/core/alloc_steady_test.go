@@ -1,12 +1,14 @@
 package core_test
 
-// alloc_steady_test.go gates the allocation guarantee of indexed victim
-// selection: in steady state (cache warm, evictions ongoing) a Victims call
-// must not allocate. Every indexed selection is a walk — of one ordered tree
+// alloc_steady_test.go gates the allocation guarantee of victim selection:
+// in steady state (cache warm, evictions ongoing) a Victims call must not
+// allocate. Every indexed selection is a walk — of one ordered tree
 // (prioindex.Set), or of per-class cursors (prioindex.Classed) — into buffers
-// the policy reuses, and changes no rank, so every indexed policy is measured
-// here; IGD, which scans, is not. `make alloccheck` runs this file alongside
-// the request-path gates.
+// the policy reuses, and changes no rank. IGD has no index (its priorities
+// move with time) but its scan of the resident view is held to the same
+// bar: dense per-clip state, a visit function bound once, and a reused
+// result buffer. `make alloccheck` runs this file alongside the request-path
+// gates.
 
 import (
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"mediacache/internal/policy/gdfreq"
 	"mediacache/internal/policy/gdsp"
 	"mediacache/internal/policy/greedydual"
+	"mediacache/internal/policy/igd"
 	"mediacache/internal/policy/lfu"
 	"mediacache/internal/policy/lruk"
 	"mediacache/internal/policy/lrusk"
@@ -58,8 +61,8 @@ func steadyVictimsAllocs(t *testing.T, policy core.Policy) float64 {
 	})
 }
 
-// TestVictimsZeroAllocsSteadyState is the acceptance gate for the indexed
-// eviction core: every indexed policy must select victims with zero
+// TestVictimsZeroAllocsSteadyState is the acceptance gate for the eviction
+// core: every indexed policy, and IGD's scan, must select victims with zero
 // allocations per call once warm.
 func TestVictimsZeroAllocsSteadyState(t *testing.T) {
 	uniform := make([]float64, media.PaperRepository().N())
@@ -77,6 +80,7 @@ func TestVictimsZeroAllocsSteadyState(t *testing.T) {
 		lfu.NewDA(),
 		simple.MustNew(uniform),
 		random.New(42),
+		igd.MustNew(media.PaperRepository().N(), 2, 42),
 	}
 	for _, p := range policies {
 		p := p

@@ -84,7 +84,7 @@ func (t *Tracker) Observe(id media.ClipID, now vtime.Time) {
 		return
 	}
 	r := &t.rings[id-1]
-	r.head = (r.head + 1) % t.k
+	r.head = t.next(r.head)
 	r.times[r.head] = now
 	if r.count < t.k {
 		r.count++
@@ -133,8 +133,17 @@ func (t *Tracker) KthLastTime(id media.ClipID) (when vtime.Time, ok bool) {
 	if r.count < t.k {
 		return vtime.Never, false
 	}
-	oldest := (r.head + 1) % t.k
-	return r.times[oldest], true
+	return r.times[t.next(r.head)], true
+}
+
+// next returns the ring slot after i. With a full ring that slot holds the
+// oldest retained reference, the one the next Observe overwrites. It is a
+// compare, not a modulo: the K-th-reference lookup is in every victim scan.
+func (t *Tracker) next(i int) int {
+	if i++; i == t.k {
+		return 0
+	}
+	return i
 }
 
 // OldestTracked returns the oldest retained reference time, however many

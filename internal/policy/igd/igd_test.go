@@ -241,3 +241,39 @@ func TestAdmit(t *testing.T) {
 		t.Fatal("always admits")
 	}
 }
+
+func TestIDsOutsideRepository(t *testing.T) {
+	// State is dense over 1..n, but a cache may hand the policy any ID: the
+	// others keep full per-clip state (their Δ_K is infinite, since the
+	// tracker ignores them) and nothing panics.
+	p := MustNew(4, 2, 1, FrozenAging())
+	for _, id := range []media.ClipID{0, -3, 5, 1 << 40} {
+		clip := media.Clip{ID: id, Size: 10}
+		p.Record(clip, 1, false)
+		p.OnInsert(clip, 1)
+		p.Record(clip, 2, true)
+		p.OnResidentBytes(clip, 4, 2)
+		if got := p.NRef(id); got != 2 {
+			t.Fatalf("NRef(%d) = %d, want 2", id, got)
+		}
+		if got := p.Score(clip, 3); got != p.Inflation() {
+			t.Fatalf("Score(%d) = %v, want base %v", id, got, p.Inflation())
+		}
+		p.OnEvict(id, 3)
+		if got := p.NRef(id); got != 0 {
+			t.Fatalf("NRef(%d) after evict = %d, want 0", id, got)
+		}
+	}
+
+	r, _ := media.EquiRepository(8, 10)
+	q := MustNew(4, 2, 1)
+	c, _ := core.New(r, 30, q)
+	for i := 0; i < 200; i++ {
+		if _, err := c.Request(media.ClipID(i*5%8 + 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Stats().Evictions == 0 {
+		t.Fatal("drive produced no evictions")
+	}
+}
