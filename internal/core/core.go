@@ -137,7 +137,8 @@ type Policy interface {
 	// being cached. The returned ids must be resident and distinct; the
 	// engine validates and evicts them in order. If the returned set frees
 	// fewer than need bytes the engine calls Victims again with the
-	// remaining need.
+	// remaining need. The engine is done with the slice before it calls the
+	// policy again, so a policy may return a buffer it reuses.
 	Victims(incoming media.Clip, view ResidentView, need media.Bytes, now vtime.Time) []media.ClipID
 
 	// OnInsert notifies that clip became resident.
