@@ -43,10 +43,11 @@ racecheck:
 
 # alloccheck asserts the allocation guarantees: with no observer installed,
 # core.Cache.Request allocates nothing on the request path (an attached
-# observer adds none either), and in an eviction-heavy steady state the
-# indexed victim-selection paths allocate nothing per Victims call.
+# observer adds none either), a full cache's evicting miss allocates
+# nothing, and in an eviction-heavy steady state the indexed
+# victim-selection paths allocate nothing per Victims call.
 alloccheck:
-	$(call run-matched,'TestRequestZeroAllocsNilObserver|TestRequestAllocsUnchangedWithObserver|TestVictimsZeroAllocsSteadyState',./internal/core,3)
+	$(call run-matched,'TestRequestZeroAllocsNilObserver|TestRequestAllocsUnchangedWithObserver|TestEvictingMissZeroAllocs|TestVictimsZeroAllocsSteadyState',./internal/core,4)
 
 # rangecheck runs the partial-content conformance surface: the HTTP Range
 # suite (206/200/416, HEAD, extents), the segmented engine and pool tests,

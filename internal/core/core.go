@@ -28,9 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math/bits"
 
 	"mediacache/internal/media"
-	"mediacache/internal/rbtree"
 	"mediacache/internal/vtime"
 )
 
@@ -90,13 +90,13 @@ type ResidentView interface {
 	Resident(id media.ClipID) bool
 	// Residents returns a range-over-func iterator over the cached clips
 	// in ascending ID order. Iteration is an allocation-free walk of the
-	// incrementally maintained resident index; breaking out early stops
-	// the walk.
+	// resident bitmap (see ForEachResident); breaking out early stops the
+	// walk.
 	Residents() iter.Seq[media.Clip]
 	// ForEachResident visits the cached clips in ascending ID order until
-	// fn returns false. Unlike ResidentClips it allocates nothing: the
-	// engine maintains the resident set in an incrementally updated ordered
-	// index, so iteration is a tree walk, not a per-call sort.
+	// fn returns false. Unlike CollectResidents it allocates nothing: the
+	// engine keeps the resident set as a bitmap over clip IDs, so iteration
+	// is a word-by-word scan, not a per-call sort.
 	ForEachResident(fn func(media.Clip) bool)
 	// NumResident returns the number of cached clips.
 	NumResident() int
@@ -251,11 +251,12 @@ type Cache struct {
 	// deadline. A clip is resident while it has at least one resident
 	// segment; the request path reaches a record without hashing.
 	entries []entry
-	// byID is the resident set ordered by ascending clip ID, maintained
-	// incrementally: policies iterate it allocation-free (ForEachResident)
-	// with O(log n) insert/evict upkeep instead of an O(n log n) sort per
-	// Victims call.
-	byID *rbtree.Tree[media.ClipID, media.Clip]
+	// residentBits is the resident set as a bitmap over clip IDs (bit
+	// id-1), sized beside entries; numResident counts its set bits. Insert
+	// and evict are single bit operations, and every resident walk
+	// (ForEachResident) scans it word by word in ascending ID order.
+	residentBits []uint64
+	numResident  int
 	// victimScratch is the reusable duplicate-detection set makeRoomSegment
 	// uses to validate a victim batch before mutating residency.
 	victimScratch map[media.ClipID]struct{}
@@ -284,9 +285,6 @@ type Cache struct {
 	sweepEvery    vtime.Time
 	expireScratch []media.ClipID // reusable expired-id buffer for the sweep
 }
-
-// lessClipID orders the resident index by ascending clip ID.
-func lessClipID(a, b media.ClipID) bool { return a < b }
 
 // Option configures optional engine behaviour at construction; see
 // WithAdmission and WithClock.
@@ -378,7 +376,6 @@ func New(repo *media.Repository, capacity media.Bytes, policy Policy, opts ...Op
 		repo:     repo,
 		capacity: capacity,
 		policy:   policy,
-		byID:     rbtree.New[media.ClipID, media.Clip](lessClipID),
 	}
 	for _, opt := range opts {
 		if err := opt(c); err != nil {
@@ -399,6 +396,7 @@ func New(repo *media.Repository, capacity media.Bytes, policy Policy, opts ...Op
 	}
 	c.span = spanFor(repo, c.segSize)
 	c.entries = make([]entry, repo.N())
+	c.residentBits = make([]uint64, (repo.N()+63)/64)
 	for i := range c.entries {
 		e := &c.entries[i]
 		e.nSegs = segmentsOf(repo.Clip(media.ClipID(i+1)).Size, c.span)
@@ -443,7 +441,7 @@ func (c *Cache) UsedBytes() media.Bytes { return c.used }
 func (c *Cache) FreeBytes() media.Bytes { return c.capacity - c.used }
 
 // NumResident returns the number of cached clips.
-func (c *Cache) NumResident() int { return c.byID.Len() }
+func (c *Cache) NumResident() int { return c.numResident }
 
 // Resident reports whether clip id is cached. Under segment-granular
 // residency a clip with any resident segment counts as resident; use
@@ -480,23 +478,34 @@ func CollectResidentIDs(view ResidentView) []media.ClipID {
 }
 
 // Residents returns a range-over-func iterator over the cached clips in
-// ascending ID order. The sequence is an allocation-free walk of the
-// resident index and may be ranged over multiple times; each range sees
-// the resident set as of that iteration.
-func (c *Cache) Residents() iter.Seq[media.Clip] {
-	return func(yield func(media.Clip) bool) {
-		c.byID.Ascend(func(_ media.ClipID, clip media.Clip) bool {
-			return yield(clip)
-		})
+// ascending ID order. The sequence is ForEachResident and may be ranged
+// over multiple times; each range sees the resident set as of that
+// iteration.
+func (c *Cache) Residents() iter.Seq[media.Clip] { return c.ForEachResident }
+
+// ForEachResident visits the cached clips in ascending ID order until fn
+// returns false, without allocating. It is the engine's one resident walk:
+// N/64 word reads plus one step per resident. fn must not change residency.
+func (c *Cache) ForEachResident(fn func(media.Clip) bool) {
+	for w, word := range c.residentBits {
+		for ; word != 0; word &= word - 1 {
+			if !fn(c.repo.Clip(media.ClipID(w*64 + bits.TrailingZeros64(word) + 1))) {
+				return
+			}
+		}
 	}
 }
 
-// ForEachResident visits the cached clips in ascending ID order until fn
-// returns false, without allocating.
-func (c *Cache) ForEachResident(fn func(media.Clip) bool) {
-	c.byID.Ascend(func(_ media.ClipID, clip media.Clip) bool {
-		return fn(clip)
-	})
+// markResident and unmarkResident add clip id to and remove it from the
+// resident bitmap; callers change residency only across that transition.
+func (c *Cache) markResident(id media.ClipID) {
+	c.residentBits[(id-1)/64] |= 1 << ((id - 1) % 64)
+	c.numResident++
+}
+
+func (c *Cache) unmarkResident(id media.ClipID) {
+	c.residentBits[(id-1)/64] &^= 1 << ((id - 1) % 64)
+	c.numResident--
 }
 
 var _ ResidentView = (*Cache)(nil)
@@ -574,7 +583,8 @@ func (c *Cache) clearResidency() {
 	for i := range c.entries {
 		c.entries[i].reset()
 	}
-	c.byID = rbtree.New[media.ClipID, media.Clip](lessClipID)
+	clear(c.residentBits)
+	c.numResident = 0
 	c.mirror.clear()
 	c.used = 0
 	c.residentSegs = 0
@@ -599,8 +609,8 @@ func (c *Cache) TheoreticalHitRate(pmf []float64) float64 {
 	// Sum in ascending clip-ID order: float addition is not associative, so
 	// the order is part of the result.
 	var sum float64
-	c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
-		if i := int(id) - 1; i >= 0 && i < len(pmf) && c.FullyResident(id) {
+	c.ForEachResident(func(clip media.Clip) bool {
+		if i := int(clip.ID) - 1; i < len(pmf) && c.FullyResident(clip.ID) {
 			sum += pmf[i]
 		}
 		return true

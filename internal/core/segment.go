@@ -521,7 +521,7 @@ func (c *Cache) insertSegment(clip media.Clip, seg int32, now vtime.Time) error 
 	c.used += b
 	c.residentSegs++
 	if fresh {
-		c.byID.Put(clip.ID, clip)
+		c.markResident(clip.ID)
 		c.mirror.add(clip.ID, e.deadline)
 		c.policy.OnInsert(clip, now)
 	}
@@ -601,7 +601,7 @@ func (c *Cache) trimVictim(vid media.ClipID, need media.Bytes, now vtime.Time) {
 	c.stats.BytesEvicted += trimmed
 	if e.resident == 0 {
 		e.deadline = 0
-		c.byID.Delete(vid)
+		c.unmarkResident(vid)
 		c.mirror.remove(vid)
 		c.stats.Evictions++
 		c.policy.OnEvict(vid, now)
@@ -629,7 +629,7 @@ func (c *Cache) adopt(clip media.Clip, segs []int32, deadline vtime.Time) media.
 		e.set(seg)
 		e.resBytes += c.segmentBytes(clip, seg)
 	}
-	c.byID.Put(clip.ID, clip)
+	c.markResident(clip.ID)
 	c.mirror.add(clip.ID, deadline)
 	c.used += e.resBytes
 	c.residentSegs += int(e.resident)

@@ -70,12 +70,13 @@ func (c *Cache) Snapshot() Snapshot {
 		Clock:       c.clock,
 		Stats:       c.stats,
 		SegmentSize: c.segSize,
-		ResidentIDs: make([]media.ClipID, 0, c.byID.Len()),
+		ResidentIDs: make([]media.ClipID, 0, c.numResident),
 	}
 	if c.ttl > 0 {
-		s.TTLRemaining = make([]ClipTTL, 0, c.byID.Len())
+		s.TTLRemaining = make([]ClipTTL, 0, c.numResident)
 	}
-	c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
+	c.ForEachResident(func(clip media.Clip) bool {
+		id := clip.ID
 		e := &c.entries[id-1]
 		if c.ttl > 0 {
 			s.TTLRemaining = append(s.TTLRemaining, ClipTTL{ID: id, Remaining: e.deadline - c.clock})

@@ -83,7 +83,7 @@ func (c *Cache) invalidate(id media.ClipID, now vtime.Time, expired bool) media.
 	freed := e.resBytes
 	c.residentSegs -= int(e.resident)
 	e.reset()
-	c.byID.Delete(id)
+	c.unmarkResident(id)
 	c.mirror.remove(id)
 	c.used -= freed
 	c.stats.Invalidated++
@@ -103,7 +103,7 @@ func (c *Cache) SweepExpired() int {
 	return c.sweepExpired(c.clock)
 }
 
-// sweepExpired walks the resident index in ascending ID order collecting
+// sweepExpired walks the resident set in ascending ID order collecting
 // expired clips, then invalidates them in that order, which keeps the
 // OnEvict/event stream deterministic for a given request history.
 func (c *Cache) sweepExpired(now vtime.Time) int {
@@ -111,9 +111,9 @@ func (c *Cache) sweepExpired(now vtime.Time) int {
 		return 0
 	}
 	c.expireScratch = c.expireScratch[:0]
-	c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
-		if now > c.entries[id-1].deadline {
-			c.expireScratch = append(c.expireScratch, id)
+	c.ForEachResident(func(clip media.Clip) bool {
+		if now > c.entries[clip.ID-1].deadline {
+			c.expireScratch = append(c.expireScratch, clip.ID)
 		}
 		return true
 	})

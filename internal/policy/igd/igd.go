@@ -42,7 +42,6 @@ const DefaultK = 2
 // Policy is the IGD technique. It implements core.Policy.
 type Policy struct {
 	k    int
-	n    int
 	seed uint64
 
 	tracker *history.Tracker
@@ -103,7 +102,6 @@ func New(n, k int, seed uint64, opts ...Option) (*Policy, error) {
 	}
 	p := &Policy{
 		k:       k,
-		n:       n,
 		seed:    seed,
 		tracker: history.NewTracker(n, k),
 		src:     randutil.NewSource(seed),
@@ -306,7 +304,7 @@ func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
 // Reset implements core.Policy.
 func (p *Policy) Reset() {
 	p.inflation = 0
-	p.tracker = history.NewTracker(p.n, p.k)
+	p.tracker.Reset()
 	p.src = randutil.NewSource(p.seed)
 	clear(p.clips)
 	clear(p.spill)

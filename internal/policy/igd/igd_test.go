@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mediacache/internal/core"
+	"mediacache/internal/fiverule"
 	"mediacache/internal/media"
 )
 
@@ -222,6 +223,32 @@ func TestResetClearsEverything(t *testing.T) {
 	p.Reset()
 	if p.Inflation() != 0 || p.NRef(1) != 0 || p.Tracker().Count(1) != 0 {
 		t.Fatal("Reset incomplete")
+	}
+}
+
+// TestResetKeepsTracker pins that Reset clears the tracker in place: a
+// pruner bound to Tracker() before the Reset must still prune the history
+// the policy reads after it.
+func TestResetKeepsTracker(t *testing.T) {
+	p := MustNew(5, 2, 1)
+	tr := p.Tracker()
+	// Break-even retention of 10 ticks, checked every tick.
+	rule := fiverule.Rule{NetworkCostPerByte: 1, MemoryCostPerBytePerTick: 1, AvgClipBytes: 100, MetadataBytes: 10}
+	pruner, err := fiverule.NewPruner(rule, tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Record(media.Clip{ID: 1, Size: 10}, 1, false)
+	p.Reset()
+	if p.Tracker() != tr {
+		t.Fatal("Reset replaced the tracker")
+	}
+	p.Record(media.Clip{ID: 2, Size: 10}, 2, false)
+	if n, err := pruner.Tick(100); err != nil || n != 1 {
+		t.Fatalf("pruner dropped %d histories (err %v), want the one recorded after Reset", n, err)
+	}
+	if p.Tracker().Count(2) != 0 {
+		t.Fatal("history recorded after Reset survived the pruner bound before it")
 	}
 }
 

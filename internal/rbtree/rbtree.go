@@ -4,16 +4,21 @@
 // The paper's Section 5 names efficient victim selection as future work:
 // "This may require tree-based data structures to minimize the complexity
 // of identifying a victim clip." This package is that substrate: the
-// ranked resident sets of policy/prioindex and the engine's resident index
-// keep their keys in these trees, giving O(log n) insert/delete/successor
-// and an in-order walk instead of an O(n) scan.
+// ranked resident sets of policy/prioindex keep their keys in these trees,
+// giving O(log n) insert/delete/successor and an in-order walk instead of
+// an O(n) scan.
 package rbtree
 
 // Tree is an ordered map from K to V. The zero value is not usable; create
 // trees with New.
+//
+// Deleted nodes are kept on a free list and reused by later inserts, so a
+// tree whose size stays bounded (a cache's ranked resident set) stops
+// allocating once it has reached that bound.
 type Tree[K any, V any] struct {
 	less func(a, b K) bool
 	root *node[K, V]
+	free *node[K, V] // deleted nodes, linked through left
 	size int
 }
 
@@ -126,7 +131,14 @@ func (t *Tree[K, V]) Put(key K, value V) {
 
 func (t *Tree[K, V]) put(h *node[K, V], key K, value V) (*node[K, V], bool) {
 	if h == nil {
-		return &node[K, V]{key: key, value: value, color: red}, true
+		n := t.free
+		if n == nil {
+			n = new(node[K, V])
+		} else {
+			t.free = n.left
+		}
+		*n = node[K, V]{key: key, value: value, color: red}
+		return n, true
 	}
 	var grew bool
 	switch {
@@ -225,9 +237,17 @@ func moveRedRight[K any, V any](h *node[K, V]) *node[K, V] {
 	return h
 }
 
+// release puts the unlinked node h on the free list and returns the nil
+// subtree that replaces it.
+func (t *Tree[K, V]) release(h *node[K, V]) *node[K, V] {
+	*h = node[K, V]{left: t.free}
+	t.free = h
+	return nil
+}
+
 func (t *Tree[K, V]) deleteMin(h *node[K, V]) *node[K, V] {
 	if h.left == nil {
-		return nil
+		return t.release(h)
 	}
 	if !isRed(h.left) && !isRed(h.left.left) {
 		h = moveRedLeft(h)
@@ -247,7 +267,7 @@ func (t *Tree[K, V]) delete(h *node[K, V], key K) *node[K, V] {
 			h = rotateRight(h)
 		}
 		if !t.less(h.key, key) && h.right == nil {
-			return nil
+			return t.release(h)
 		}
 		if !isRed(h.right) && !isRed(h.right.left) {
 			h = moveRedRight(h)

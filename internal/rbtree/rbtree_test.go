@@ -187,6 +187,42 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 	}
 }
 
+// TestDeletedNodesReused pins the free list: once a tree has held n keys,
+// delete/insert churn within that bound allocates nothing, and a reused node
+// carries only its new key and value.
+func TestDeletedNodesReused(t *testing.T) {
+	tr := New[int, int](func(a, b int) bool { return a < b })
+	for k := 0; k < 64; k++ {
+		tr.Put(k, k)
+	}
+	src := randutil.NewSource(7)
+	next := 64
+	if avg := testing.AllocsPerRun(1000, func() {
+		// The tree holds the 64 consecutive keys below next throughout.
+		if _, _, ok := tr.DeleteMin(); !ok {
+			t.Fatal("empty tree")
+		}
+		tr.Put(next, -next)
+		next++
+		k := next - 1 - src.Intn(32)
+		if !tr.Delete(k) {
+			t.Fatalf("key %d missing", k)
+		}
+		tr.Put(k, -k)
+	}); avg != 0 {
+		t.Errorf("delete/insert churn allocs/op = %v, want 0", avg)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Ascend(func(k, v int) bool {
+		if k >= 64 && v != -k {
+			t.Fatalf("key %d holds %d, want %d", k, v, -k)
+		}
+		return true
+	})
+}
+
 func TestMatchesModelProperty(t *testing.T) {
 	check := func(ops []int16) bool {
 		tr := intTree()
