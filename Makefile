@@ -44,8 +44,8 @@ racecheck:
 # alloccheck asserts the allocation guarantees: with no observer installed,
 # core.Cache.Request allocates nothing on the request path (an attached
 # observer adds none either), a full cache's evicting miss allocates
-# nothing, and in an eviction-heavy steady state the indexed
-# victim-selection paths allocate nothing per Victims call.
+# nothing, and in an eviction-heavy steady state every ranked policy serves
+# a hit and selects victims without allocating.
 alloccheck:
 	$(call run-matched,'TestRequestZeroAllocsNilObserver|TestRequestAllocsUnchangedWithObserver|TestEvictingMissZeroAllocs|TestVictimsZeroAllocsSteadyState',./internal/core,4)
 

@@ -137,34 +137,6 @@ func BenchmarkPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyDualImplementations quantifies Figure 1's point: the
-// inflation-based GreedyDual versus the naive O(n)-subtractions-per-
-// eviction textbook version.
-func BenchmarkGreedyDualImplementations(b *testing.B) {
-	repo := media.PaperRepository()
-	dist := zipf.MustNew(repo.N(), zipf.DefaultMean)
-	run := func(b *testing.B, p core.Policy) {
-		gen := workload.MustNewGenerator(dist, sim.DefaultSeed)
-		cache, err := core.New(repo, repo.CacheSizeForRatio(0.125), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 2000; i++ {
-			if _, err := cache.Request(gen.Next()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cache.Request(gen.Next()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("inflation", func(b *testing.B) { run(b, greedydual.New(nil, sim.DefaultSeed)) })
-	b.Run("naive", func(b *testing.B) { run(b, greedydual.NewNaive(nil, sim.DefaultSeed)) })
-}
-
 // BenchmarkIGDAging compares IGD's selection-time Δ aging against frozen
 // touch-time priorities (DESIGN.md §6.3): hit rate after a popularity shift.
 func BenchmarkIGDAging(b *testing.B) {
@@ -263,9 +235,9 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkLRUSKSelection compares the O(n)-scan LRU-SK with the Section 5
-// tree-based implementation on a large synthetic repository (20,000 clips,
-// 6 size classes), where victim-selection complexity dominates.
+// BenchmarkLRUSKSelection measures the Section 5 tree-based LRU-SK on a
+// large synthetic repository (20,000 clips, 6 size classes), where
+// victim-selection complexity dominates.
 func BenchmarkLRUSKSelection(b *testing.B) {
 	const nClips = 20004 // multiple of 6 for the paper-style size pattern
 	repo, err := media.VariableRepository(nClips)
@@ -273,7 +245,11 @@ func BenchmarkLRUSKSelection(b *testing.B) {
 		b.Fatal(err)
 	}
 	dist := zipf.MustNew(repo.N(), zipf.DefaultMean)
-	run := func(b *testing.B, p core.Policy) {
+	b.Run("tree", func(b *testing.B) {
+		p, err := lrusk.NewFast(repo.N(), 2)
+		if err != nil {
+			b.Fatal(err)
+		}
 		cache, err := core.New(repo, repo.CacheSizeForRatio(0.05), p)
 		if err != nil {
 			b.Fatal(err)
@@ -290,29 +266,13 @@ func BenchmarkLRUSKSelection(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("scan", func(b *testing.B) {
-		p, err := lrusk.New(repo.N(), 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, p.Scan()) // the Policy default is indexed now; force the scan
-	})
-	b.Run("tree", func(b *testing.B) {
-		p, err := lrusk.NewFast(repo.N(), 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, p)
 	})
 }
 
-// BenchmarkEvictionHeavy compares each refactored policy's original
-// O(n)-scan victim selection with its indexed replacement (ISSUE 4) on a
+// BenchmarkEvictionHeavy measures each indexed policy's victim selection on a
 // large synthetic repository (20,004 clips, 6 size classes) in an
 // eviction-heavy regime: a 5% cache under the standard Zipf workload, where
-// roughly half the requests miss and force victim selection. Indexed is the
-// production default; Scan() restores the original path as the baseline.
+// roughly half the requests miss and force victim selection.
 func BenchmarkEvictionHeavy(b *testing.B) {
 	const nClips = 20004
 	repo, err := media.VariableRepository(nClips)
@@ -339,39 +299,21 @@ func BenchmarkEvictionHeavy(b *testing.B) {
 			}
 		}
 	}
-	pairs := []struct {
+	policies := []struct {
 		name    string
 		indexed func() core.Policy
-		scan    func() core.Policy
 	}{
-		{"greedydual",
-			func() core.Policy { return greedydual.New(nil, sim.DefaultSeed) },
-			func() core.Policy { return greedydual.New(nil, sim.DefaultSeed).Scan() }},
-		{"gdfreq",
-			func() core.Policy { return gdfreq.New(nil, sim.DefaultSeed) },
-			func() core.Policy { return gdfreq.New(nil, sim.DefaultSeed).Scan() }},
-		{"gdsp",
-			func() core.Policy { return gdsp.MustNew(nil, 0, sim.DefaultSeed) },
-			func() core.Policy { return gdsp.MustNew(nil, 0, sim.DefaultSeed).Scan() }},
-		{"lruk",
-			func() core.Policy { return lruk.MustNew(nClips, 2) },
-			func() core.Policy { return lruk.MustNew(nClips, 2).Scan() }},
-		{"lrusk",
-			func() core.Policy { return lrusk.MustNew(nClips, 2) },
-			func() core.Policy { return lrusk.MustNew(nClips, 2).Scan() }},
-		{"lfu",
-			func() core.Policy { return lfu.New() },
-			func() core.Policy { return lfu.New().Scan() }},
-		{"simple",
-			func() core.Policy { return simple.MustNew(pmf) },
-			func() core.Policy { return simple.MustNew(pmf).Scan() }},
-		{"dynsimple",
-			func() core.Policy { return dynsimple.MustNew(nClips, 2) },
-			func() core.Policy { return dynsimple.MustNew(nClips, 2).Scan() }},
+		{"greedydual", func() core.Policy { return greedydual.New(nil, sim.DefaultSeed) }},
+		{"gdfreq", func() core.Policy { return gdfreq.New(nil, sim.DefaultSeed) }},
+		{"gdsp", func() core.Policy { return gdsp.MustNew(nil, 0, sim.DefaultSeed) }},
+		{"lruk", func() core.Policy { return lruk.MustNew(nClips, 2) }},
+		{"lrusk", func() core.Policy { return lrusk.MustNew(nClips, 2) }},
+		{"lfu", func() core.Policy { return lfu.New() }},
+		{"simple", func() core.Policy { return simple.MustNew(pmf) }},
+		{"dynsimple", func() core.Policy { return dynsimple.MustNew(nClips, 2) }},
 	}
-	for _, pr := range pairs {
-		b.Run(pr.name+"/scan", func(b *testing.B) { run(b, pr.scan()) })
-		b.Run(pr.name+"/indexed", func(b *testing.B) { run(b, pr.indexed()) })
+	for _, p := range policies {
+		b.Run(p.name+"/indexed", func(b *testing.B) { run(b, p.indexed()) })
 	}
 }
 

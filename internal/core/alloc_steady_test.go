@@ -1,8 +1,8 @@
 package core_test
 
-// alloc_steady_test.go gates the allocation guarantee of victim selection:
-// in steady state (cache warm, evictions ongoing) a Victims call must not
-// allocate. Every indexed selection is a walk — of one ordered tree
+// alloc_steady_test.go gates the allocation guarantees of the policies: in
+// steady state (cache warm, evictions ongoing) neither a hit on a resident
+// nor a Victims call may allocate. Every indexed selection is a walk — of one ordered tree
 // (prioindex.Set), or of per-class cursors (prioindex.Classed) — into buffers
 // the policy reuses, and changes no rank. IGD has no index (its priorities
 // move with time) but its scan of the resident view is held to the same
@@ -30,10 +30,10 @@ import (
 	"mediacache/internal/zipf"
 )
 
-// steadyVictimsAllocs warms a cache into an eviction-heavy steady state and
-// measures the allocations of direct Victims calls against the live resident
-// view.
-func steadyVictimsAllocs(t *testing.T, policy core.Policy) float64 {
+// steadyAllocs warms a cache into an eviction-heavy steady state and
+// measures the allocations of a hit on a resident clip, then of direct
+// Victims calls against the live resident view.
+func steadyAllocs(t *testing.T, policy core.Policy) (hit, victims float64) {
 	t.Helper()
 	repo := media.PaperRepository()
 	cache, err := core.New(repo, repo.CacheSizeForRatio(0.05), policy)
@@ -49,21 +49,28 @@ func steadyVictimsAllocs(t *testing.T, policy core.Policy) float64 {
 	if cache.Stats().Evictions == 0 {
 		t.Fatal("steady-state drive produced no evictions; measurement vacuous")
 	}
+	resident := core.CollectResidentIDs(cache)[0]
+	hit = testing.AllocsPerRun(200, func() {
+		if out, err := cache.Request(resident); out != core.Hit || err != nil {
+			t.Fatalf("request of resident clip %d: %v, %v", resident, out, err)
+		}
+	})
 	// An incoming clip the policy must make room for. Asking for a few
 	// clips' worth of space exercises the multi-victim walk.
 	incoming := repo.Clip(1)
 	need := incoming.Size * 3
 	now := vtime.Time(1 << 20)
-	return testing.AllocsPerRun(200, func() {
+	victims = testing.AllocsPerRun(200, func() {
 		if victims := policy.Victims(incoming, cache, need, now); len(victims) == 0 {
 			t.Fatal("no victims from a full cache")
 		}
 	})
+	return hit, victims
 }
 
 // TestVictimsZeroAllocsSteadyState is the acceptance gate for the eviction
-// core: every indexed policy, and IGD's scan, must select victims with zero
-// allocations per call once warm.
+// core: once warm, every indexed policy, and IGD's scan, must serve a hit and
+// select victims with zero allocations per call.
 func TestVictimsZeroAllocsSteadyState(t *testing.T) {
 	uniform := make([]float64, media.PaperRepository().N())
 	for i := range uniform {
@@ -85,8 +92,12 @@ func TestVictimsZeroAllocsSteadyState(t *testing.T) {
 	for _, p := range policies {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			if avg := steadyVictimsAllocs(t, p); avg != 0 {
-				t.Errorf("steady-state Victims allocs/op = %v, want 0", avg)
+			hit, victims := steadyAllocs(t, p)
+			if hit != 0 {
+				t.Errorf("steady-state hit allocs/op = %v, want 0", hit)
+			}
+			if victims != 0 {
+				t.Errorf("steady-state Victims allocs/op = %v, want 0", victims)
 			}
 		})
 	}

@@ -43,11 +43,10 @@ func TestAllPolicies(t *testing.T) {
 		"DYNSimple-norefine": func(n int) (core.Policy, error) {
 			return dynsimple.New(n, 2, dynsimple.WithoutRefinement())
 		},
-		"GreedyDual":       func(n int) (core.Policy, error) { return greedydual.New(nil, 42), nil },
-		"GreedyDual-naive": func(n int) (core.Policy, error) { return greedydual.NewNaive(nil, 42), nil },
-		"GreedyDual-Freq":  func(n int) (core.Policy, error) { return gdfreq.New(nil, 42), nil },
-		"GDSP":             func(n int) (core.Policy, error) { return gdsp.New(nil, 1, 42) },
-		"IGD":              func(n int) (core.Policy, error) { return igd.New(n, 2, 42) },
+		"GreedyDual":      func(n int) (core.Policy, error) { return greedydual.New(nil, 42), nil },
+		"GreedyDual-Freq": func(n int) (core.Policy, error) { return gdfreq.New(nil, 42), nil },
+		"GDSP":            func(n int) (core.Policy, error) { return gdsp.New(nil, 1, 42) },
+		"IGD":             func(n int) (core.Policy, error) { return igd.New(n, 2, 42) },
 		"IGD-frozen": func(n int) (core.Policy, error) {
 			return igd.New(n, 2, 42, igd.FrozenAging())
 		},

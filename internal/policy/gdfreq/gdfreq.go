@@ -53,10 +53,6 @@ func New(cost CostFunc, seed uint64) *Policy {
 	return p
 }
 
-// Scan switches the policy to O(n) linear-scan victim selection; decisions
-// are identical either way.
-func (p *Policy) Scan() *Policy { p.Policy.Scan(); return p }
-
 // Name implements core.Policy.
 func (p *Policy) Name() string { return "GreedyDual-Freq" }
 

@@ -74,10 +74,6 @@ func New(cost CostFunc, beta float64, seed uint64) (*Policy, error) {
 	return p, nil
 }
 
-// Scan switches the policy to O(n) linear-scan victim selection; decisions
-// are identical either way.
-func (p *Policy) Scan() *Policy { p.Policy.Scan(); return p }
-
 // MustNew is like New but panics on error.
 func MustNew(cost CostFunc, beta float64, seed uint64) *Policy {
 	p, err := New(cost, beta, seed)

@@ -13,10 +13,6 @@
 // Ties at the minimum priority are broken uniformly at random with a seeded
 // generator, reproducing deterministically the coin-flip pathology on
 // equi-sized repositories that Section 3.3 analyzes.
-//
-// The package also provides Naive, the textbook implementation that performs
-// O(n) subtractions per eviction; a property test asserts both make
-// identical decisions, and a benchmark quantifies the speedup.
 package greedydual
 
 import (
@@ -74,11 +70,6 @@ func New(cost CostFunc, seed uint64) *Policy {
 	p.set = prioindex.New(p.rank)
 	return p
 }
-
-// Scan switches the policy to O(n) linear-scan victim selection. Call before
-// the first request; decisions are identical either way, and the scan exists
-// as the differential-test and benchmark baseline.
-func (p *Policy) Scan() *Policy { p.set.Scan(); return p }
 
 // Name implements core.Policy.
 func (p *Policy) Name() string { return "GreedyDual" }
@@ -162,101 +153,5 @@ func (p *Policy) Reset() {
 	p.inflation = 0
 	clear(p.eff)
 	p.set.Reset()
-	p.src = randutil.NewSource(p.seed)
-}
-
-// Naive is the textbook GreedyDual that subtracts H_min from every resident
-// clip on each eviction instead of maintaining an inflation value. It exists
-// to validate the efficient implementation (they must take identical
-// decisions) and to quantify the cost of the naive approach.
-type Naive struct {
-	cost CostFunc
-	seed uint64
-	src  *randutil.Source
-	h    map[media.ClipID]float64
-}
-
-var _ core.Policy = (*Naive)(nil)
-
-// NewNaive returns the O(n)-per-eviction GreedyDual.
-func NewNaive(cost CostFunc, seed uint64) *Naive {
-	if cost == nil {
-		cost = UniformCost
-	}
-	return &Naive{
-		cost: cost,
-		seed: seed,
-		src:  randutil.NewSource(seed),
-		h:    make(map[media.ClipID]float64),
-	}
-}
-
-// Name implements core.Policy.
-func (p *Naive) Name() string { return "GreedyDual(naive)" }
-
-// Priority returns the stored (deflated) priority of a resident clip.
-func (p *Naive) Priority(id media.ClipID) (float64, bool) {
-	h, ok := p.h[id]
-	return h, ok
-}
-
-// Record implements core.Policy.
-func (p *Naive) Record(clip media.Clip, _ vtime.Time, hit bool) {
-	if hit {
-		p.h[clip.ID] = p.cost(clip) / float64(clip.Size)
-	}
-}
-
-// Admit implements core.Policy.
-func (p *Naive) Admit(media.Clip, vtime.Time) bool { return true }
-
-// Victims implements core.Policy: find min H, subtract it from every
-// resident clip, and evict one uniformly chosen minimum.
-func (p *Naive) Victims(_ media.Clip, view core.ResidentView, _ media.Bytes, _ vtime.Time) []media.ClipID {
-	var (
-		minH  float64
-		ties  []media.ClipID
-		found bool
-	)
-	for c := range view.Residents() {
-		h, ok := p.h[c.ID]
-		if !ok {
-			h = p.cost(c) / float64(c.Size)
-			p.h[c.ID] = h
-		}
-		switch {
-		case !found || h < minH:
-			minH, ties, found = h, ties[:0], true
-			ties = append(ties, c.ID)
-		case h == minH:
-			ties = append(ties, c.ID)
-		}
-	}
-	if !found {
-		return nil
-	}
-	for c := range view.Residents() {
-		p.h[c.ID] -= minH
-	}
-	victim := ties[0]
-	if len(ties) > 1 {
-		victim = ties[p.src.Intn(len(ties))]
-	}
-	return []media.ClipID{victim}
-}
-
-// OnInsert implements core.Policy.
-func (p *Naive) OnInsert(clip media.Clip, _ vtime.Time) {
-	p.h[clip.ID] = p.cost(clip) / float64(clip.Size)
-}
-
-// OnEvict implements core.Policy.
-func (p *Naive) OnEvict(id media.ClipID, _ vtime.Time) {
-	delete(p.h, id)
-}
-
-// Reset implements core.Policy.
-func (p *Naive) Reset() {
-	p.h = make(map[media.ClipID]float64)
 	p.src = randutil.NewSource(p.seed)
 }

@@ -2,19 +2,14 @@ package greedydual
 
 import (
 	"testing"
-	"testing/quick"
 
 	"mediacache/internal/core"
 	"mediacache/internal/media"
-	"mediacache/internal/vtime"
 )
 
 func TestName(t *testing.T) {
 	if New(nil, 1).Name() != "GreedyDual" {
 		t.Fatal("name")
-	}
-	if NewNaive(nil, 1).Name() != "GreedyDual(naive)" {
-		t.Fatal("naive name")
 	}
 }
 
@@ -175,52 +170,6 @@ func TestResetRewinds(t *testing.T) {
 	}
 }
 
-// TestNaiveEquivalence: the inflation-based implementation (Figure 1) and
-// the textbook O(n)-subtraction implementation must take identical decisions.
-// Power-of-two sizes keep 1/size and the running sums exactly representable,
-// so floating point cannot introduce spurious tie differences.
-func TestNaiveEquivalence(t *testing.T) {
-	sizes := []media.Bytes{8, 16, 32, 64, 128, 256, 8, 16, 32, 64}
-	clips := make([]media.Clip, len(sizes))
-	for i, s := range sizes {
-		clips[i] = media.Clip{ID: media.ClipID(i + 1), Size: s}
-	}
-	repo, err := media.NewRepository(clips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(reqs []uint8) bool {
-		fast := New(nil, 77)
-		slow := NewNaive(nil, 77)
-		cf, _ := core.New(repo, 300, fast)
-		cs, _ := core.New(repo, 300, slow)
-		for _, r := range reqs {
-			id := media.ClipID(int(r)%repo.N() + 1)
-			of, errF := cf.Request(id)
-			os_, errS := cs.Request(id)
-			if errF != nil || errS != nil {
-				return false
-			}
-			if of != os_ {
-				return false
-			}
-		}
-		a, b := core.CollectResidentIDs(cf), core.CollectResidentIDs(cs)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWarmInsertedClipHandled(t *testing.T) {
 	r, _ := media.EquiRepository(5, 10)
 	p := New(nil, 1)
@@ -245,22 +194,4 @@ func TestVictimsEmptyWhenNothingResident(t *testing.T) {
 	if got := p.Victims(r.Clip(1), c, 10, 1); got != nil {
 		t.Fatalf("victims = %v, want nil", got)
 	}
-}
-
-func TestNaiveLifecycle(t *testing.T) {
-	p := NewNaive(nil, 3)
-	clip := media.Clip{ID: 1, Size: 10}
-	if !p.Admit(clip, 1) {
-		t.Fatal("admit")
-	}
-	p.OnInsert(clip, 1)
-	if h, ok := p.Priority(1); !ok || h != 0.1 {
-		t.Fatalf("priority = %v,%v", h, ok)
-	}
-	p.Record(clip, 2, true)
-	p.OnEvict(1, vtime.Time(3))
-	if _, ok := p.Priority(1); ok {
-		t.Fatal("evicted clip must be dropped")
-	}
-	p.Reset()
 }

@@ -12,10 +12,4 @@ func init() {
 			return New(nil, cfg.Seed), nil
 		},
 	})
-	registry.Register(registry.Entry{
-		Name: "gd-naive",
-		New: func(cfg registry.Config) (core.Policy, error) {
-			return NewNaive(nil, cfg.Seed), nil
-		},
-	})
 }

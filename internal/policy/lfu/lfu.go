@@ -49,10 +49,6 @@ func newPolicy(aging bool) *Policy {
 	return p
 }
 
-// Scan switches the policy to linear-scan victim selection; decisions are
-// identical either way.
-func (p *Policy) Scan() *Policy { p.set.Scan(); return p }
-
 // Name implements core.Policy.
 func (p *Policy) Name() string {
 	if p.aging {

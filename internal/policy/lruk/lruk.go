@@ -49,10 +49,6 @@ func New(n, k int) (*Policy, error) {
 	return p, nil
 }
 
-// Scan switches the policy to linear-scan victim selection; decisions are
-// identical either way.
-func (p *Policy) Scan() *Policy { p.set.Scan(); return p }
-
 // MustNew is like New but panics on error; for experiment setup.
 func MustNew(n, k int) *Policy {
 	p, err := New(n, k)

@@ -208,19 +208,17 @@ func TestAdmitAlways(t *testing.T) {
 
 // TestForgottenHistoryIsReranked: pruning the tracker the policy exposes
 // must not leave a resident ranked by references that no longer exist. With
-// its history gone clip 2 has infinite Δ_2 again and is the next victim, in
-// both selection modes.
+// its history gone clip 2 has infinite Δ_2 again and is the next victim.
 func TestForgottenHistoryIsReranked(t *testing.T) {
-	for _, p := range []*Policy{MustNew(3, 2), MustNew(3, 2).Scan()} {
-		c, _ := core.New(equiRepo(t, 3), 20, p)
-		for _, id := range []media.ClipID{1, 1, 2, 2} {
-			c.Request(id)
-		}
-		// Δ_2(1) > Δ_2(2): clip 1 is the victim while clip 2's history stands.
-		p.Tracker().Forget(2)
-		c.Request(3)
-		if c.Resident(2) || !c.Resident(1) {
-			t.Fatalf("resident = %v, want clip 2 evicted once its history is forgotten", core.CollectResidentIDs(c))
-		}
+	p := MustNew(3, 2)
+	c, _ := core.New(equiRepo(t, 3), 20, p)
+	for _, id := range []media.ClipID{1, 1, 2, 2} {
+		c.Request(id)
+	}
+	// Δ_2(1) > Δ_2(2): clip 1 is the victim while clip 2's history stands.
+	p.Tracker().Forget(2)
+	c.Request(3)
+	if c.Resident(2) || !c.Resident(1) {
+		t.Fatalf("resident = %v, want clip 2 evicted once its history is forgotten", core.CollectResidentIDs(c))
 	}
 }

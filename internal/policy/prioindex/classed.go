@@ -1,8 +1,6 @@
 package prioindex
 
 import (
-	"slices"
-
 	"mediacache/internal/media"
 	"mediacache/internal/rbtree"
 	"mediacache/internal/vtime"
@@ -42,24 +40,16 @@ type classID struct {
 // tier and key from the policy's reference history; within a class,
 // ascending key order must be the order better gives at every time. better
 // is the victim order across classes, a strict total order at any fixed now.
-//
-// Scan switches the set to its linear-scan twin, which keeps no classes and
-// no stored keys: every selection ranks every resident afresh through rank
-// and sorts them by better. It is the differential reference — for the
-// static-within-a-class claim and for the freshness of the stored keys — and
-// the only linear-scan selection code the policies on a Classed set have.
 type Classed struct {
 	rank   func(media.Clip) (tier int, p float64, last vtime.Time)
 	better func(a, b Entry, now vtime.Time) bool
-	scan   bool
 	// held is each ranked resident as last ranked: where to find it.
 	held    map[media.ClipID]Entry
 	classes map[classID]*class
 	// order lists the classes as created. better is total, so the order
 	// cannot change a selection; a slice keeps the walk deterministic.
-	order    []*class
-	gathered []Entry
-	out      []media.Clip
+	order []*class
+	out   []media.Clip
 }
 
 // NewClassed returns an empty set ranking clips by rank and choosing among
@@ -73,9 +63,6 @@ func NewClassed(rank func(media.Clip) (tier int, p float64, last vtime.Time), be
 	}
 }
 
-// Scan switches the set to the linear-scan twin. Call before the first Put.
-func (s *Classed) Scan() { s.scan = true }
-
 // Rank returns clip as rank places it now, whether or not the set holds it.
 func (s *Classed) Rank(clip media.Clip) Entry {
 	tier, p, last := s.rank(clip)
@@ -84,9 +71,6 @@ func (s *Classed) Rank(clip media.Clip) Entry {
 
 // Put ranks clip under its current history, replacing the rank it held.
 func (s *Classed) Put(clip media.Clip) {
-	if s.scan {
-		return
-	}
 	if old, ok := s.held[clip.ID]; ok {
 		s.unlink(old)
 	}
@@ -144,30 +128,6 @@ func (s *Classed) Reset() {
 func (s *Classed) Prefix(view Residents, need media.Bytes, now vtime.Time) []media.Clip {
 	s.out = s.out[:0]
 	var freed media.Bytes
-	if s.scan {
-		s.gathered = s.gathered[:0]
-		view.ForEachResident(func(c media.Clip) bool {
-			s.gathered = append(s.gathered, s.Rank(c))
-			return true
-		})
-		slices.SortFunc(s.gathered, func(a, b Entry) int {
-			switch {
-			case s.better(a, b, now):
-				return -1
-			case s.better(b, a, now):
-				return 1
-			}
-			return 0
-		})
-		for _, e := range s.gathered {
-			if freed >= need {
-				break
-			}
-			s.out = append(s.out, e.Clip)
-			freed += e.Clip.Size
-		}
-		return s.out
-	}
 	if len(s.held) != view.NumResident() {
 		// Held clips are a subset of the residents (every Put is an insert
 		// or an adoption, every eviction a Drop), so equal counts mean equal

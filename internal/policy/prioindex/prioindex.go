@@ -13,18 +13,13 @@
 //
 // The paper's Section 5 names efficient victim selection as future work:
 // "This may require tree-based data structures to minimize the complexity
-// of identifying a victim clip." By default the keys sit in a red-black tree,
-// so a selection costs O(log n) maintenance per reference instead of an O(n)
-// scan per eviction. Scan switches a Set to its linear-scan twin: the same
-// selections computed under the same key order by a pass over the engine's
-// resident view. It is the differential reference and the benchmark baseline
-// of the policies on a Set, and the only linear-scan selection code they
-// have; package conformance asserts the two modes name identical victims.
+// of identifying a victim clip." The keys sit in a red-black tree, so a
+// selection costs O(log n) maintenance per reference instead of an O(n) scan
+// per eviction. Package conformance checks every policy on a Set against a
+// brute-force oracle that ranks the residents by the paper's formulas.
 package prioindex
 
 import (
-	"slices"
-
 	"mediacache/internal/media"
 	"mediacache/internal/rbtree"
 	"mediacache/internal/vtime"
@@ -58,21 +53,13 @@ type Residents interface {
 	ForEachResident(fn func(media.Clip) bool)
 }
 
-type ranked struct {
-	Key
-	clip media.Clip
-}
-
 // Set is the ranked resident set of one policy instance. The zero value is
 // not usable; create sets with New.
 type Set struct {
 	adopt func(media.Clip)
 	keys  map[media.ClipID]Key
-	// tree orders the keys; nil in scan mode.
-	tree *rbtree.Tree[Key, media.Clip]
-	// gathered is the scan twin's reusable candidate buffer.
-	gathered []ranked
-	ids      []media.ClipID
+	tree  *rbtree.Tree[Key, media.Clip]
+	ids   []media.ClipID
 }
 
 // New returns an empty set. adopt is called for a resident the set holds no
@@ -86,9 +73,6 @@ func New(adopt func(media.Clip)) *Set {
 	}
 }
 
-// Scan switches the set to the linear-scan twin. Call before the first Put.
-func (s *Set) Scan() { s.tree = nil }
-
 // Key returns clip id's key and whether the clip is ranked.
 func (s *Set) Key(id media.ClipID) (Key, bool) {
 	k, ok := s.keys[id]
@@ -98,21 +82,17 @@ func (s *Set) Key(id media.ClipID) (Key, bool) {
 // Put ranks clip under (p, last), replacing any key it held.
 func (s *Set) Put(clip media.Clip, p float64, last vtime.Time) {
 	k := Key{P: p, Last: last, ID: clip.ID}
-	if s.tree != nil {
-		if old, ok := s.keys[clip.ID]; ok {
-			s.tree.Delete(old)
-		}
-		s.tree.Put(k, clip)
+	if old, ok := s.keys[clip.ID]; ok {
+		s.tree.Delete(old)
 	}
+	s.tree.Put(k, clip)
 	s.keys[clip.ID] = k
 }
 
 // Drop forgets clip id.
 func (s *Set) Drop(id media.ClipID) {
 	if k, ok := s.keys[id]; ok {
-		if s.tree != nil {
-			s.tree.Delete(k)
-		}
+		s.tree.Delete(k)
 		delete(s.keys, id)
 	}
 }
@@ -120,14 +100,12 @@ func (s *Set) Drop(id media.ClipID) {
 // Reset empties the set, retaining the buffers' capacity.
 func (s *Set) Reset() {
 	clear(s.keys)
-	if s.tree != nil {
-		s.tree = rbtree.New[Key, media.Clip](lessKey)
-	}
+	s.tree = rbtree.New[Key, media.Clip](lessKey)
 }
 
 // Min returns the best victim's key.
 func (s *Set) Min(view Residents) (min Key, ok bool) {
-	s.ascend(view, true, func(k Key, _ media.Clip) bool {
+	s.ascend(view, func(k Key, _ media.Clip) bool {
 		min, ok = k, true
 		return false
 	})
@@ -141,7 +119,7 @@ func (s *Set) Min(view Residents) (min Key, ok bool) {
 // it.
 func (s *Set) MinTies(view Residents) (minP float64, ties []media.ClipID, ok bool) {
 	s.ids = s.ids[:0]
-	s.ascend(view, true, func(k Key, _ media.Clip) bool {
+	s.ascend(view, func(k Key, _ media.Clip) bool {
 		if len(s.ids) > 0 && k.P != minP {
 			return false
 		}
@@ -160,7 +138,7 @@ func (s *Set) MinTies(view Residents) (minP float64, ties []media.ClipID, ok boo
 func (s *Set) Prefix(view Residents, need media.Bytes) (ids []media.ClipID, maxP float64) {
 	s.ids = s.ids[:0]
 	var freed media.Bytes
-	s.ascend(view, false, func(k Key, c media.Clip) bool {
+	s.ascend(view, func(k Key, c media.Clip) bool {
 		if freed >= need {
 			return false
 		}
@@ -175,12 +153,9 @@ func (s *Set) Prefix(view Residents, need media.Bytes) (ids []media.ClipID, maxP
 	return s.ids, maxP
 }
 
-// ascend adopts any resident the set has no key for, then visits the ranked
-// residents in key order until fn returns false: a walk of the tree, or in
-// scan mode one pass over view gathering each resident with its key — only
-// those at the minimum priority when minOnly, which is all MinTies and Min
-// read, so they stay O(n) — followed by a sort of what was gathered.
-func (s *Set) ascend(view Residents, minOnly bool, fn func(Key, media.Clip) bool) {
+// ascend adopts any resident the set has no key for, then walks the ranked
+// residents in key order until fn returns false.
+func (s *Set) ascend(view Residents, fn func(Key, media.Clip) bool) {
 	if len(s.keys) != view.NumResident() {
 		// Keys are a subset of the residents (every Put is an insert, every
 		// eviction a Drop), so equal counts mean equal sets.
@@ -191,36 +166,5 @@ func (s *Set) ascend(view Residents, minOnly bool, fn func(Key, media.Clip) bool
 			return true
 		})
 	}
-	if s.tree != nil {
-		s.tree.Ascend(fn)
-		return
-	}
-	s.gathered = s.gathered[:0]
-	view.ForEachResident(func(c media.Clip) bool {
-		k := s.keys[c.ID]
-		if minOnly && len(s.gathered) > 0 {
-			if k.P > s.gathered[0].P {
-				return true
-			}
-			if k.P < s.gathered[0].P {
-				s.gathered = s.gathered[:0]
-			}
-		}
-		s.gathered = append(s.gathered, ranked{k, c})
-		return true
-	})
-	slices.SortFunc(s.gathered, func(a, b ranked) int {
-		switch {
-		case lessKey(a.Key, b.Key):
-			return -1
-		case lessKey(b.Key, a.Key):
-			return 1
-		}
-		return 0
-	})
-	for _, r := range s.gathered {
-		if !fn(r.Key, r.clip) {
-			return
-		}
-	}
+	s.tree.Ascend(fn)
 }

@@ -64,8 +64,8 @@ func TestBuildEveryRegisteredPolicy(t *testing.T) {
 			t.Errorf("Build(%q): empty policy", name)
 		}
 	}
-	if n := len(registry.Names()); n < 15 {
-		t.Errorf("only %d registered policies; the seed set has 15", n)
+	if n := len(registry.Names()); n < 14 {
+		t.Errorf("only %d registered policies; the built-in set has 14", n)
 	}
 }
 

@@ -75,10 +75,6 @@ func New(frequencies []float64, opts ...Option) (*Policy, error) {
 	return p, nil
 }
 
-// Scan switches the policy to linear-scan victim selection; decisions are
-// identical either way.
-func (p *Policy) Scan() *Policy { p.set.Scan(); return p }
-
 // MustNew is like New but panics on error; for experiment setup.
 func MustNew(frequencies []float64, opts ...Option) *Policy {
 	p, err := New(frequencies, opts...)

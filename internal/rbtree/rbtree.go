@@ -19,7 +19,6 @@ type Tree[K any, V any] struct {
 	less func(a, b K) bool
 	root *node[K, V]
 	free *node[K, V] // deleted nodes, linked through left
-	size int
 }
 
 type color bool
@@ -46,32 +45,6 @@ func New[K any, V any](less func(a, b K) bool) *Tree[K, V] {
 	return &Tree[K, V]{less: less}
 }
 
-// Len returns the number of keys in the tree.
-func (t *Tree[K, V]) Len() int { return t.size }
-
-// Get returns the value stored under key.
-func (t *Tree[K, V]) Get(key K) (V, bool) {
-	n := t.root
-	for n != nil {
-		switch {
-		case t.less(key, n.key):
-			n = n.left
-		case t.less(n.key, key):
-			n = n.right
-		default:
-			return n.value, true
-		}
-	}
-	var zero V
-	return zero, false
-}
-
-// Contains reports whether key is present.
-func (t *Tree[K, V]) Contains(key K) bool {
-	_, ok := t.Get(key)
-	return ok
-}
-
 // Min returns the smallest key and its value.
 func (t *Tree[K, V]) Min() (K, V, bool) {
 	if t.root == nil {
@@ -82,20 +55,6 @@ func (t *Tree[K, V]) Min() (K, V, bool) {
 	n := t.root
 	for n.left != nil {
 		n = n.left
-	}
-	return n.key, n.value, true
-}
-
-// Max returns the largest key and its value.
-func (t *Tree[K, V]) Max() (K, V, bool) {
-	if t.root == nil {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	n := t.root
-	for n.right != nil {
-		n = n.right
 	}
 	return n.key, n.value, true
 }
@@ -121,15 +80,11 @@ func (t *Tree[K, V]) Next(key K) (K, V, bool) {
 
 // Put inserts key with value, replacing any existing value for the key.
 func (t *Tree[K, V]) Put(key K, value V) {
-	var grew bool
-	t.root, grew = t.put(t.root, key, value)
+	t.root = t.put(t.root, key, value)
 	t.root.color = black
-	if grew {
-		t.size++
-	}
 }
 
-func (t *Tree[K, V]) put(h *node[K, V], key K, value V) (*node[K, V], bool) {
+func (t *Tree[K, V]) put(h *node[K, V], key K, value V) *node[K, V] {
 	if h == nil {
 		n := t.free
 		if n == nil {
@@ -138,45 +93,28 @@ func (t *Tree[K, V]) put(h *node[K, V], key K, value V) (*node[K, V], bool) {
 			t.free = n.left
 		}
 		*n = node[K, V]{key: key, value: value, color: red}
-		return n, true
+		return n
 	}
-	var grew bool
 	switch {
 	case t.less(key, h.key):
-		h.left, grew = t.put(h.left, key, value)
+		h.left = t.put(h.left, key, value)
 	case t.less(h.key, key):
-		h.right, grew = t.put(h.right, key, value)
+		h.right = t.put(h.right, key, value)
 	default:
 		h.value = value
 	}
-	return t.fixUp(h), grew
+	return t.fixUp(h)
 }
 
-// Delete removes key, reporting whether it was present.
+// Delete removes key, reporting whether it was present. It is one descent: an
+// absent key is found missing at the nil link the search reaches.
 func (t *Tree[K, V]) Delete(key K) bool {
-	if !t.Contains(key) {
-		return false
-	}
-	t.root = t.delete(t.root, key)
+	var found bool
+	t.root, found = t.delete(t.root, key)
 	if t.root != nil {
 		t.root.color = black
 	}
-	t.size--
-	return true
-}
-
-// DeleteMin removes and returns the smallest key/value.
-func (t *Tree[K, V]) DeleteMin() (K, V, bool) {
-	k, v, ok := t.Min()
-	if !ok {
-		return k, v, false
-	}
-	t.root = t.deleteMin(t.root)
-	if t.root != nil {
-		t.root.color = black
-	}
-	t.size--
-	return k, v, true
+	return found
 }
 
 func isRed[K any, V any](n *node[K, V]) bool { return n != nil && n.color == red }
@@ -256,20 +194,30 @@ func (t *Tree[K, V]) deleteMin(h *node[K, V]) *node[K, V] {
 	return t.fixUp(h)
 }
 
-func (t *Tree[K, V]) delete(h *node[K, V], key K) *node[K, V] {
+// delete removes key from the subtree h (GoLLRB's form): the nil guards on
+// both sides stop the descent where an absent key would be, and the
+// rebalancing done on the way down is undone by fixUp on the way back.
+func (t *Tree[K, V]) delete(h *node[K, V], key K) (*node[K, V], bool) {
+	if h == nil {
+		return nil, false
+	}
+	var found bool
 	if t.less(key, h.key) {
+		if h.left == nil {
+			return h, false
+		}
 		if !isRed(h.left) && !isRed(h.left.left) {
 			h = moveRedLeft(h)
 		}
-		h.left = t.delete(h.left, key)
+		h.left, found = t.delete(h.left, key)
 	} else {
 		if isRed(h.left) {
 			h = rotateRight(h)
 		}
 		if !t.less(h.key, key) && h.right == nil {
-			return t.release(h)
+			return t.release(h), true
 		}
-		if !isRed(h.right) && !isRed(h.right.left) {
+		if h.right != nil && !isRed(h.right) && !isRed(h.right.left) {
 			h = moveRedRight(h)
 		}
 		if !t.less(h.key, key) {
@@ -279,12 +227,12 @@ func (t *Tree[K, V]) delete(h *node[K, V], key K) *node[K, V] {
 				m = m.left
 			}
 			h.key, h.value = m.key, m.value
-			h.right = t.deleteMin(h.right)
+			h.right, found = t.deleteMin(h.right), true
 		} else {
-			h.right = t.delete(h.right, key)
+			h.right, found = t.delete(h.right, key)
 		}
 	}
-	return t.fixUp(h)
+	return t.fixUp(h), found
 }
 
 // Ascend visits keys in ascending order until fn returns false.
@@ -303,17 +251,6 @@ func (t *Tree[K, V]) ascend(n *node[K, V], fn func(K, V) bool) bool {
 		return false
 	}
 	return t.ascend(n.right, fn)
-}
-
-// Keys returns all keys in ascending order. Intended for tests and small
-// trees.
-func (t *Tree[K, V]) Keys() []K {
-	out := make([]K, 0, t.size)
-	t.Ascend(func(k K, _ V) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
 }
 
 // checkInvariants verifies red-black properties; exported to the test

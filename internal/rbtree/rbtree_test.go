@@ -1,7 +1,8 @@
 package rbtree
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -21,22 +22,40 @@ func TestNewPanicsOnNilLess(t *testing.T) {
 	New[int, int](nil)
 }
 
+// entries returns the tree's keys and values in ascending key order.
+func entries[K comparable, V any](tr *Tree[K, V]) ([]K, []V) {
+	var keys []K
+	var values []V
+	tr.Ascend(func(k K, v V) bool {
+		keys, values = append(keys, k), append(values, v)
+		return true
+	})
+	return keys, values
+}
+
+// get looks key up through Ascend.
+func get(tr *Tree[int, string], key int) (string, bool) {
+	var value string
+	var ok bool
+	tr.Ascend(func(k int, v string) bool {
+		if k == key {
+			value, ok = v, true
+		}
+		return k < key
+	})
+	return value, ok
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := intTree()
-	if tr.Len() != 0 {
-		t.Fatal("empty length")
-	}
-	if _, ok := tr.Get(1); ok {
-		t.Fatal("Get on empty")
+	if keys, _ := entries(tr); len(keys) != 0 {
+		t.Fatalf("empty tree holds %v", keys)
 	}
 	if _, _, ok := tr.Min(); ok {
 		t.Fatal("Min on empty")
 	}
-	if _, _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty")
-	}
-	if _, _, ok := tr.DeleteMin(); ok {
-		t.Fatal("DeleteMin on empty")
+	if _, _, ok := tr.Next(0); ok {
+		t.Fatal("Next on empty")
 	}
 	if tr.Delete(5) {
 		t.Fatal("Delete on empty")
@@ -48,36 +67,33 @@ func TestPutGetDelete(t *testing.T) {
 	tr.Put(2, "two")
 	tr.Put(1, "one")
 	tr.Put(3, "three")
-	if tr.Len() != 3 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	for k, want := range map[int]string{1: "one", 2: "two", 3: "three"} {
-		if got, ok := tr.Get(k); !ok || got != want {
-			t.Fatalf("Get(%d) = %q,%v", k, got, ok)
-		}
+	if keys, values := entries(tr); !slices.Equal(keys, []int{1, 2, 3}) || !slices.Equal(values, []string{"one", "two", "three"}) {
+		t.Fatalf("entries = %v %v", keys, values)
 	}
 	// Overwrite.
 	tr.Put(2, "TWO")
-	if got, _ := tr.Get(2); got != "TWO" {
+	if got, ok := get(tr, 2); !ok || got != "TWO" {
 		t.Fatal("overwrite failed")
 	}
-	if tr.Len() != 3 {
+	if keys, _ := entries(tr); len(keys) != 3 {
 		t.Fatal("overwrite changed size")
 	}
 	if !tr.Delete(2) {
 		t.Fatal("delete existing")
 	}
-	if tr.Contains(2) {
+	if _, ok := get(tr, 2); ok {
 		t.Fatal("deleted key still present")
 	}
 	if tr.Delete(2) {
 		t.Fatal("double delete")
 	}
-	if tr.Len() != 2 {
-		t.Fatalf("len = %d", tr.Len())
+	if keys, _ := entries(tr); !slices.Equal(keys, []int{1, 3}) {
+		t.Fatalf("keys = %v", keys)
 	}
 }
 
+// TestMinMax: Min is the smallest key, and Next past the largest reports the
+// end of the tree.
 func TestMinMax(t *testing.T) {
 	tr := intTree()
 	for _, k := range []int{5, 3, 9, 1, 7} {
@@ -86,11 +102,16 @@ func TestMinMax(t *testing.T) {
 	if k, _, _ := tr.Min(); k != 1 {
 		t.Fatalf("Min = %d", k)
 	}
-	if k, _, _ := tr.Max(); k != 9 {
-		t.Fatalf("Max = %d", k)
+	if k, _, ok := tr.Next(7); !ok || k != 9 {
+		t.Fatalf("Next(7) = %d,%v", k, ok)
+	}
+	if _, _, ok := tr.Next(9); ok {
+		t.Fatal("Next past the largest key")
 	}
 }
 
+// TestDeleteMinOrder deletes the minimum until the tree is empty: the minima
+// ascend and every deletion leaves a valid red-black tree.
 func TestDeleteMinOrder(t *testing.T) {
 	tr := intTree()
 	keys := []int{5, 3, 9, 1, 7, 4, 8, 2, 6}
@@ -98,15 +119,15 @@ func TestDeleteMinOrder(t *testing.T) {
 		tr.Put(k, "")
 	}
 	for want := 1; want <= 9; want++ {
-		k, _, ok := tr.DeleteMin()
-		if !ok || k != want {
-			t.Fatalf("DeleteMin = %d,%v want %d", k, ok, want)
+		k, _, ok := tr.Min()
+		if !ok || k != want || !tr.Delete(k) {
+			t.Fatalf("Min = %d,%v want %d", k, ok, want)
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if tr.Len() != 0 {
+	if _, _, ok := tr.Min(); ok {
 		t.Fatal("tree not empty")
 	}
 }
@@ -116,7 +137,7 @@ func TestAscendOrderAndEarlyStop(t *testing.T) {
 	for _, k := range []int{4, 2, 5, 1, 3} {
 		tr.Put(k, "")
 	}
-	keys := tr.Keys()
+	keys, _ := entries(tr)
 	for i := 1; i < len(keys); i++ {
 		if keys[i] <= keys[i-1] {
 			t.Fatalf("keys out of order: %v", keys)
@@ -154,19 +175,9 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != len(model) {
-		t.Fatalf("len %d vs model %d", tr.Len(), len(model))
-	}
-	want := make([]int, 0, len(model))
-	for k := range model {
-		want = append(want, k)
-	}
-	sort.Ints(want)
-	got := tr.Keys()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("keys diverge from model at %d", i)
-		}
+	want := slices.Sorted(maps.Keys(model))
+	if got, _ := entries(tr); !slices.Equal(got, want) {
+		t.Fatalf("keys diverge from model: %d keys vs %d", len(got), len(want))
 	}
 	// Next is the successor lookup, for keys present or not: from below the
 	// minimum it walks the whole tree in order and then reports the end.
@@ -199,7 +210,7 @@ func TestDeletedNodesReused(t *testing.T) {
 	next := 64
 	if avg := testing.AllocsPerRun(1000, func() {
 		// The tree holds the 64 consecutive keys below next throughout.
-		if _, _, ok := tr.DeleteMin(); !ok {
+		if k, _, ok := tr.Min(); !ok || !tr.Delete(k) {
 			t.Fatal("empty tree")
 		}
 		tr.Put(next, -next)
@@ -223,30 +234,40 @@ func TestDeletedNodesReused(t *testing.T) {
 	})
 }
 
+// TestMatchesModelProperty drives a tree and a map through random puts and
+// deletes — of present keys and of absent ones: never inserted, already
+// deleted, below the minimum, above the maximum — and checks after every
+// operation that Delete reported presence as the model has it, that Ascend
+// and Min agree with the model, and that the red-black invariants hold.
 func TestMatchesModelProperty(t *testing.T) {
 	check := func(ops []int16) bool {
 		tr := intTree()
 		model := make(map[int]bool)
 		for _, raw := range ops {
-			k := int(raw) % 64
-			if k < 0 {
-				k = -k
+			// Keys span -8..71; puts land in 0..63, so deletes also reach
+			// keys below the minimum and above the maximum.
+			k := int(raw)%80 - 8
+			if raw%3 == 0 || k < 0 || k > 63 {
+				if tr.Delete(k) != model[k] {
+					return false
+				}
 				delete(model, k)
-				tr.Delete(k)
 			} else {
 				model[k] = true
 				tr.Put(k, "x")
 			}
-		}
-		if tr.Len() != len(model) {
-			return false
-		}
-		for k := range model {
-			if !tr.Contains(k) {
+			if tr.CheckInvariants() != nil {
+				return false
+			}
+			want := slices.Sorted(maps.Keys(model))
+			if got, _ := entries(tr); !slices.Equal(got, want) {
+				return false
+			}
+			if min, _, ok := tr.Min(); ok != (len(want) > 0) || ok && min != want[0] {
 				return false
 			}
 		}
-		return tr.CheckInvariants() == nil
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -272,8 +293,8 @@ func TestStructKeys(t *testing.T) {
 	if !tr.Delete(key{1, 1}) {
 		t.Fatal("delete struct key")
 	}
-	if tr.Len() != 2 {
-		t.Fatal("len")
+	if keys, _ := entries(tr); !slices.Equal(keys, []key{{0, 9}, {1, 2}}) {
+		t.Fatalf("keys = %v", keys)
 	}
 }
 
@@ -286,15 +307,20 @@ func BenchmarkPut(b *testing.B) {
 	}
 }
 
-func BenchmarkGet(b *testing.B) {
+// BenchmarkDelete deletes and re-inserts random keys of a 100,000-key tree,
+// half of the deletes for keys that are absent.
+func BenchmarkDelete(b *testing.B) {
 	src := randutil.NewSource(1)
 	tr := intTree()
 	for i := 0; i < 100000; i++ {
-		tr.Put(src.Intn(1<<20), "")
+		tr.Put(2*src.Intn(1<<20), "")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Get(src.Intn(1 << 20))
+		k := src.Intn(1 << 21)
+		if tr.Delete(k) {
+			tr.Put(k, "")
+		}
 	}
 }
 
@@ -306,6 +332,7 @@ func BenchmarkDeleteMin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.DeleteMin()
+		k, _, _ := tr.Min()
+		tr.Delete(k)
 	}
 }

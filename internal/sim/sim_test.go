@@ -142,7 +142,6 @@ func TestNewPolicySpecs(t *testing.T) {
 		"dynsimple:2":    "DYNSimple(K=2)",
 		"dynsimple:32":   "DYNSimple(K=32)",
 		"greedydual":     "GreedyDual",
-		"gd-naive":       "GreedyDual(naive)",
 		"gdfreq":         "GreedyDual-Freq",
 		"igd:2":          "IGD(K=2)",
 	}
